@@ -3,15 +3,22 @@
 // exists to prove the protocol stack against an actual network path and
 // to make the library usable as a tiny userspace NFS-like file service
 // (see internal/memfs and cmd/nfsserve).
+//
+// UDP moves one datagram per syscall. TCP moves records in batches:
+// each connection reads through a buffered reader, and calls (client)
+// and replies (server) queued on a connection are coalesced into one
+// writev.
 package rpcnet
 
 import (
+	"bufio"
 	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
 	"net/netip"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -52,7 +59,7 @@ type CallInfo struct {
 	// Span is the request's latency span, nil unless the server was
 	// built with ServerOptions.Spans. Handlers mark the stages they own
 	// (obs.Span methods are nil-safe, so no guard is needed); the server
-	// finishes the span after the reply's socket write.
+	// finishes the span after the socket write that carried the reply.
 	Span *obs.Span
 }
 
@@ -80,14 +87,89 @@ var wireBufs = sync.Pool{
 	},
 }
 
+// maxPooledBuf is the largest buffer the arena keeps. The peak NFS
+// message is a 32 KiB READ or WRITE plus headers, well inside
+// maxUDPMessage; a buffer grown far past it (a record near
+// sunrpc.MaxRecord, legal but hostile) is left to the collector rather
+// than pinned in the pool.
+const maxPooledBuf = 4 * maxUDPMessage
+
 // getBuf fetches a zero-length arena buffer.
 func getBuf() *[]byte { return wireBufs.Get().(*[]byte) }
 
 // putBuf recycles an arena buffer. The caller must be done with every
 // view into it.
 func putBuf(b *[]byte) {
+	if cap(*b) > maxPooledBuf {
+		return
+	}
 	*b = (*b)[:0]
 	wireBufs.Put(b)
+}
+
+// TCP connections move records in batches. Each side reads through one
+// fixed-size buffered reader, so a burst of pipelined records costs one
+// read syscall instead of two per record, and writes every record it
+// has queued with one gather write (writev), up to maxBatch records.
+// The reader is small on purpose: 4 KiB holds a window of metadata
+// calls, while most of a 32 KiB READ or WRITE body bypasses it (bufio
+// reads straight into the record buffer once its own buffer is empty),
+// so bulk data is not copied twice.
+const (
+	tcpReadBuffer = 4 << 10
+	maxBatch      = 64
+)
+
+// recordBatch sends batches of TCP records (record marks embedded) with
+// one writev each, applying the outbound fault policy per record in
+// order. The slices live in the per-connection owner, not on the stack:
+// net.Buffers.WriteTo takes its receiver's address through an interface
+// call, so a local header would be moved to the heap on every batch.
+type recordBatch struct {
+	recs net.Buffers // records queued for the next write, in order
+	iov  net.Buffers // the window of recs handed to writev (consumed by it)
+}
+
+// errInjectedReset is the send error of a record a fault reset.
+var errInjectedReset = fmt.Errorf("injected connection reset: %w", net.ErrClosed)
+
+// write sends every queued record on conn and empties the batch. A
+// stall writes what precedes the stalled record plus half of it, sleeps
+// (every later record waits: head-of-line blocking) and continues; a
+// reset writes half the record and returns errInjectedReset, leaving
+// the caller to tear the connection down.
+func (b *recordBatch) write(conn net.Conn, faults *FaultInjector) (err error) {
+	lo := 0
+	for i, rec := range b.recs {
+		act := faults.record(DirOut)
+		if act.stall > 0 {
+			b.recs[i] = rec[:len(rec)/2]
+			if err = b.send(conn, lo, i+1); err != nil {
+				break
+			}
+			time.Sleep(act.stall)
+			b.recs[i], lo = rec[len(rec)/2:], i
+		}
+		if act.reset {
+			b.recs[i] = rec[:len(rec)/2]
+			b.send(conn, lo, i+1)
+			err = errInjectedReset
+			break
+		}
+	}
+	if err == nil {
+		err = b.send(conn, lo, len(b.recs))
+	}
+	clear(b.recs)
+	b.recs = b.recs[:0]
+	return err
+}
+
+// send writes recs[lo:hi] with one writev.
+func (b *recordBatch) send(conn net.Conn, lo, hi int) error {
+	b.iov = b.recs[lo:hi]
+	_, err := b.iov.WriteTo(conn)
+	return err
 }
 
 // TapEvent describes one served RPC to a capture tap: when the request
@@ -178,8 +260,9 @@ type ServerOptions struct {
 	// Spans, when non-nil, records a per-request stage span for every
 	// call: recv (socket read to decode, queueing and injected holds
 	// included), decode, the handler's own stages (via CallInfo.Span),
-	// and the reply's socket write. Dropped calls (garbage, StatDrop)
-	// are discarded unrecorded.
+	// and reply: on TCP the wait in the connection's reply queue plus
+	// the batched write that carried it, on UDP the datagram's write.
+	// Dropped calls (garbage, StatDrop) are discarded unrecorded.
 	Spans *obs.SpanTable
 }
 
@@ -425,6 +508,38 @@ func (s *Server) serveTCP() {
 	}
 }
 
+// tcpConn is the reply side of one served TCP connection: a queue of
+// finished replies and the batch the current flusher is writing. There
+// is no writer goroutine. A handler that finishes its reply queues it;
+// if no flush is running it becomes the flusher and writes everything
+// queued — its own reply and any that arrive while it writes — in
+// writev batches until the queue is empty.
+type tcpConn struct {
+	s    *Server
+	conn net.Conn
+
+	// inflight counts requests dispatched on the connection whose
+	// replies are not queued yet.
+	inflight atomic.Int32
+
+	mu       sync.Mutex
+	queue    []queuedReply // finished replies awaiting the flusher
+	flushing bool          // a handler goroutine is the flusher
+	dead     bool          // a write failed; the connection is closed
+
+	// Flusher-owned: only the goroutine holding the flusher role (set
+	// under mu) touches these.
+	batch []queuedReply
+	out   recordBatch
+}
+
+// queuedReply is one reply record waiting to be written: its pooled
+// buffer (record mark included) and its span, finished once written.
+type queuedReply struct {
+	buf  *[]byte
+	span *obs.Span
+}
+
 func (s *Server) serveConn(conn net.Conn) {
 	defer s.wg.Done()
 	defer func() {
@@ -444,10 +559,11 @@ func (s *Server) serveConn(conn net.Conn) {
 	if ta, ok := conn.RemoteAddr().(*net.TCPAddr); ok {
 		peer = ta.AddrPort()
 	}
-	var writeMu sync.Mutex
+	tc := &tcpConn{s: s, conn: conn, out: recordBatch{recs: make(net.Buffers, 0, maxBatch)}}
+	br := bufio.NewReaderSize(conn, tcpReadBuffer)
 	for {
 		bp := getBuf()
-		msg, err := sunrpc.ReadRecordInto(conn, *bp)
+		msg, err := sunrpc.ReadRecordInto(br, *bp)
 		if err != nil {
 			putBuf(bp)
 			return
@@ -471,61 +587,120 @@ func (s *Server) serveConn(conn net.Conn) {
 		// As in serveUDP: in-flight requests are part of the WaitGroup
 		// so Close drains them (this goroutine's Add is covered by the
 		// connection's own count).
+		stall := act.stall
+		tc.inflight.Add(1)
 		s.wg.Add(1)
-		go func(bp *[]byte, msg []byte, stall time.Duration) {
+		go func() {
 			defer s.wg.Done()
 			defer putBuf(bp)
 			if stall > 0 {
 				time.Sleep(stall)
 			}
 			rp := getBuf()
-			defer putBuf(rp)
 			// Record mark, RPC header and result are appended into one
-			// pooled buffer and written in a single call — no re-framing
-			// copy, no per-reply allocation.
+			// pooled buffer — no re-framing copy, no per-reply
+			// allocation — which the reply queue owns from here on.
 			reply, ok := s.process(msg, sunrpc.BeginRecord(*rp), ev, info)
 			if !ok {
+				tc.inflight.Add(-1)
+				putBuf(rp)
 				s.spans.Discard(info.Span)
 				return
 			}
 			*rp = reply
 			sunrpc.FinishRecord(reply, 0)
 			s.emit(ev)
-			// The reply stage covers write-lock wait (head-of-line
-			// blocking behind a stalled reply shows up here), injected
-			// faults and the record's socket write.
-			defer func() {
-				info.Span.Mark(obs.StageReply)
-				s.spans.Finish(info.Span)
-			}()
-			writeMu.Lock()
-			defer writeMu.Unlock()
-			// Outbound record fault. A stall writes half the record,
-			// holds the write lock through the pause, then completes it:
-			// genuine head-of-line blocking — every reply behind this one
-			// on the connection waits too, which is exactly the TCP
-			// failure mode the paper's transport comparison is about. A
-			// reset abandons the record mid-write and kills the
-			// connection.
-			wact := s.faults.record(DirOut)
-			if wact.stall > 0 {
-				half := len(reply) / 2
-				if _, err := conn.Write(reply[:half]); err != nil {
-					return
-				}
-				time.Sleep(wact.stall)
-				reply = reply[half:]
-			}
-			if wact.reset {
-				if len(reply) > 1 {
-					conn.Write(reply[:len(reply)/2])
-				}
-				conn.Close()
-				return
-			}
-			conn.Write(reply)
-		}(bp, msg, act.stall)
+			tc.reply(queuedReply{buf: rp, span: info.Span})
+		}()
 	}
+}
+
+// reply queues a finished reply for the connection and, if no flush is
+// running, flushes the queue on the calling goroutine.
+func (tc *tcpConn) reply(r queuedReply) {
+	others := tc.inflight.Add(-1) > 0
+	tc.mu.Lock()
+	if tc.dead {
+		tc.mu.Unlock()
+		tc.s.complete(r)
+		return
+	}
+	tc.queue = append(tc.queue, r)
+	if tc.flushing {
+		tc.mu.Unlock()
+		return
+	}
+	tc.flushing = true
+	tc.mu.Unlock()
+	// The read loop dispatches every record it finds buffered at once,
+	// so while other requests on the connection are in flight their
+	// handlers are typically runnable on this processor right now.
+	// Yielding once lets them finish and queue their replies before the
+	// first writev; without it the flusher usually finds only its own
+	// reply and each record costs a syscall. A lone request skips the
+	// yield, which would only add a scheduler round trip.
+	if others {
+		runtime.Gosched()
+	}
+	tc.flush()
+}
+
+// flush writes queued replies, maxBatch records per writev, until the
+// queue is empty. A stalled record holds the flusher through the pause,
+// so every reply behind it on the connection waits too — genuine
+// head-of-line blocking, the TCP failure mode the paper's transport
+// comparison is about. A failed write (or injected reset) closes the
+// connection, which ends its read loop; every reply already queued or
+// queued later is recycled unwritten.
+func (tc *tcpConn) flush() {
+	for {
+		tc.mu.Lock()
+		if tc.dead {
+			dropped := tc.queue
+			tc.queue, tc.flushing = nil, false
+			tc.mu.Unlock()
+			for _, r := range dropped {
+				tc.s.complete(r)
+			}
+			return
+		}
+		if len(tc.queue) == 0 {
+			tc.flushing = false
+			tc.mu.Unlock()
+			return
+		}
+		tc.batch, tc.queue = tc.queue, tc.batch[:0]
+		tc.mu.Unlock()
+		var err error
+		for lo := 0; lo < len(tc.batch); lo += maxBatch {
+			hi := min(lo+maxBatch, len(tc.batch))
+			if err == nil {
+				for _, r := range tc.batch[lo:hi] {
+					tc.out.recs = append(tc.out.recs, *r.buf)
+				}
+				err = tc.out.write(tc.conn, tc.s.faults)
+			}
+			for _, r := range tc.batch[lo:hi] {
+				tc.s.complete(r)
+			}
+		}
+		clear(tc.batch)
+		if err != nil {
+			tc.mu.Lock()
+			tc.dead = true
+			tc.mu.Unlock()
+			tc.conn.Close()
+		}
+	}
+}
+
+// complete finishes a reply's life: its span closes — the reply stage
+// covers the queue wait, injected faults and the batch's socket write —
+// and its buffer returns to the arena.
+func (s *Server) complete(r queuedReply) {
+	r.span.Mark(obs.StageReply)
+	s.spans.Finish(r.span)
+	putBuf(r.buf)
 }
 
 // process decodes a call, dispatches it and appends the encoded reply
@@ -577,7 +752,8 @@ func (s *Server) process(msg []byte, out []byte, ev *TapEvent, info CallInfo) (r
 // Client is a pipelining RPC client over UDP or TCP. It is safe for
 // concurrent use by multiple goroutines: calls issued concurrently are
 // all in flight at once over the single connection — a writer goroutine
-// serializes sends, a reader goroutine demultiplexes replies to the
+// serializes sends (on TCP, every call queued when it wakes goes out in
+// one writev), a reader goroutine demultiplexes replies to the
 // matching call by XID, and each call waits only on its own reply (or
 // its context). There is no one-outstanding-call lock.
 type Client struct {
@@ -591,6 +767,10 @@ type Client struct {
 
 	sendCh  chan wireMsg
 	closeCh chan struct{} // closed once, by Close or transport failure
+
+	// Writer-owned: the calls taken off sendCh for one send.
+	batch []wireMsg
+	out   recordBatch
 
 	mu      sync.Mutex
 	pending map[uint32]chan callReply
@@ -637,18 +817,26 @@ func DialFault(network, addr string, prog, vers uint32, faults *FaultInjector) (
 	if uc, ok := conn.(*net.UDPConn); ok {
 		uc.SetReadBuffer(udpReadBuffer)
 	}
+	return newClient(network, conn, prog, vers, faults), nil
+}
+
+// newClient starts a client's writer and reader on an established
+// connection.
+func newClient(network string, conn net.Conn, prog, vers uint32, faults *FaultInjector) *Client {
 	c := &Client{
 		network: network, conn: conn, prog: prog, vers: vers,
 		faults:  faults,
-		sendCh:  make(chan wireMsg, 64),
+		sendCh:  make(chan wireMsg, maxBatch), // one writer batch of backlog
 		closeCh: make(chan struct{}),
 		pending: make(map[uint32]chan callReply),
+		batch:   make([]wireMsg, 0, maxBatch),
+		out:     recordBatch{recs: make(net.Buffers, 0, maxBatch)},
 	}
 	c.timeout.Store(int64(5 * time.Second))
 	c.xid.Store(uint32(time.Now().UnixNano()))
 	go c.writer()
 	go c.reader()
-	return c, nil
+	return c
 }
 
 // SetTimeout sets the per-call deadline used by Call (not CallContext)
@@ -805,10 +993,13 @@ func (c *Client) unregister(xid uint32) bool {
 }
 
 // writer drains sendCh onto the socket, serializing sends from
-// concurrent calls. On TCP a send error kills the transport (the
-// stream is dead); on UDP it fails only that call — a connected UDP
-// socket's write error (ECONNREFUSED from a momentarily gone server)
-// is transient and later calls may succeed.
+// concurrent calls. Each wakeup takes every call already queued (up to
+// maxBatch) as one batch: on TCP the batch goes out in one writev, on
+// UDP as one datagram per call (coalescing would merge datagrams). On
+// TCP a send error kills the transport (the stream is dead); on UDP it
+// fails only that call — a connected UDP socket's write error
+// (ECONNREFUSED from a momentarily gone server) is transient and later
+// calls may succeed.
 func (c *Client) writer() {
 	// deadlineArmed remembers whether a previous send left a write
 	// deadline on the socket, so switching to SetTimeout(0) disarms it
@@ -819,91 +1010,108 @@ func (c *Client) writer() {
 		case <-c.closeCh:
 			return
 		case m := <-c.sendCh:
-			// A write deadline keeps a stalled TCP peer (accepting but
-			// never reading, send buffer full) from wedging the writer
-			// forever; the blocked send errors out and fails the
-			// transport, as the pre-pipelining per-call deadline did.
-			// With no timeout configured a send cannot be abandoned
-			// early, so both the deadline and the pending-map liveness
-			// check (one mutex round-trip per send) are skipped.
-			var err error
-			if d := time.Duration(c.timeout.Load()); d > 0 {
-				// Skip calls already abandoned by their context.
-				c.mu.Lock()
-				_, live := c.pending[m.xid]
-				c.mu.Unlock()
-				if !live {
-					putBuf(m.buf)
-					continue
-				}
-				err = c.conn.SetWriteDeadline(time.Now().Add(d))
-				deadlineArmed = true
-			} else if deadlineArmed {
-				err = c.conn.SetWriteDeadline(time.Time{})
-				deadlineArmed = false
+			c.batch = append(c.batch[:0], m)
+		}
+	drain:
+		for len(c.batch) < maxBatch {
+			select {
+			case m := <-c.sendCh:
+				c.batch = append(c.batch, m)
+			default:
+				break drain
 			}
-			if err == nil {
-				// The record mark (TCP) is already embedded in the
-				// buffer, so both transports send with one write.
-				err = c.send(*m.buf)
+		}
+		// A write deadline keeps a stalled TCP peer (accepting but
+		// never reading, send buffer full) from wedging the writer
+		// forever; the blocked send errors out and fails the transport,
+		// as the pre-pipelining per-call deadline did. With no timeout
+		// configured a send cannot be abandoned early, so both the
+		// deadline and the liveness check are skipped.
+		var err error
+		if d := time.Duration(c.timeout.Load()); d > 0 {
+			c.dropAbandoned()
+			if len(c.batch) == 0 {
+				continue
 			}
+			err = c.conn.SetWriteDeadline(time.Now().Add(d))
+			deadlineArmed = true
+		} else if deadlineArmed {
+			err = c.conn.SetWriteDeadline(time.Time{})
+			deadlineArmed = false
+		}
+		if err == nil {
+			err = c.send()
+		}
+		for _, m := range c.batch {
 			putBuf(m.buf)
-			if err != nil {
-				if c.network == "tcp" {
-					c.fail(fmt.Errorf("%w: %w", ErrSendFailed, err))
-					return
-				}
-				c.failOne(m.xid, fmt.Errorf("%w: %w", ErrSendFailed, err))
-			}
+		}
+		clear(c.batch)
+		if err != nil {
+			c.fail(fmt.Errorf("%w: %w", ErrSendFailed, err))
+			return
 		}
 	}
 }
 
-// send puts one marshalled call on the wire, applying this client's
-// outbound fault policy. Injected pauses run on the writer goroutine —
-// every queued send behind a stalled one waits too, which on the client
-// side is the head-of-line cost a faulty uplink really has.
-func (c *Client) send(buf []byte) error {
-	if c.faults == nil {
-		_, err := c.conn.Write(buf)
+// dropAbandoned removes from the batch, and recycles, calls whose
+// context gave up while they waited in sendCh — one mutex round-trip
+// per batch.
+func (c *Client) dropAbandoned() {
+	live := c.batch[:0]
+	c.mu.Lock()
+	for _, m := range c.batch {
+		if _, ok := c.pending[m.xid]; ok {
+			live = append(live, m)
+		} else {
+			putBuf(m.buf)
+		}
+	}
+	c.mu.Unlock()
+	clear(c.batch[len(live):])
+	c.batch = live
+}
+
+// send puts the batch on the wire, applying this client's outbound
+// fault policy. Injected pauses run on the writer goroutine — every
+// queued send behind a stalled one waits too, which on the client side
+// is the head-of-line cost a faulty uplink really has. The error it
+// returns is terminal for the transport; a UDP send error fails only its
+// own call and is not returned.
+func (c *Client) send() error {
+	if c.network == "tcp" {
+		// The record marks are already embedded in the buffers.
+		for _, m := range c.batch {
+			c.out.recs = append(c.out.recs, *m.buf)
+		}
+		return c.out.write(c.conn, c.faults)
+	}
+	for _, m := range c.batch {
+		if err := c.sendDatagram(*m.buf); err != nil {
+			c.failOne(m.xid, fmt.Errorf("%w: %w", ErrSendFailed, err))
+		}
+	}
+	return nil
+}
+
+// sendDatagram sends one UDP call under the outbound fault policy.
+func (c *Client) sendDatagram(buf []byte) error {
+	act := c.faults.datagram(DirOut, len(buf))
+	if act.drop {
+		return nil // lost on the wire: the send itself "succeeded"
+	}
+	if act.delay > 0 {
+		time.Sleep(act.delay)
+	}
+	if act.truncate >= 0 {
+		buf = buf[:act.truncate]
+	}
+	if _, err := c.conn.Write(buf); err != nil {
 		return err
 	}
-	if c.network == "udp" {
-		act := c.faults.datagram(DirOut, len(buf))
-		if act.drop {
-			return nil // lost on the wire: the send itself "succeeded"
-		}
-		if act.delay > 0 {
-			time.Sleep(act.delay)
-		}
-		if act.truncate >= 0 {
-			buf = buf[:act.truncate]
-		}
-		if _, err := c.conn.Write(buf); err != nil {
-			return err
-		}
-		if act.dup {
-			c.conn.Write(buf)
-		}
-		return nil
+	if act.dup {
+		c.conn.Write(buf)
 	}
-	act := c.faults.record(DirOut)
-	if act.stall > 0 {
-		half := len(buf) / 2
-		if _, err := c.conn.Write(buf[:half]); err != nil {
-			return err
-		}
-		time.Sleep(act.stall)
-		buf = buf[half:]
-	}
-	if act.reset {
-		if len(buf) > 1 {
-			c.conn.Write(buf[:len(buf)/2])
-		}
-		return fmt.Errorf("injected connection reset: %w", net.ErrClosed)
-	}
-	_, err := c.conn.Write(buf)
-	return err
+	return nil
 }
 
 // reader demultiplexes replies to pending calls by XID. Garbage and
@@ -921,11 +1129,15 @@ func (c *Client) reader() {
 	// overwrites the buffer.
 	bp := getBuf()
 	defer putBuf(bp)
+	var br *bufio.Reader
+	if c.network == "tcp" {
+		br = bufio.NewReaderSize(c.conn, tcpReadBuffer)
+	}
 	for {
 		var raw []byte
 		var err error
 		if c.network == "tcp" {
-			raw, err = sunrpc.ReadRecordInto(c.conn, *bp)
+			raw, err = sunrpc.ReadRecordInto(br, *bp)
 			if raw != nil {
 				*bp = raw
 			}

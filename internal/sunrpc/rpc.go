@@ -190,9 +190,11 @@ func UnmarshalReply(b []byte) (*Reply, error) {
 
 const lastFragmentBit = 0x80000000
 
-// maxFragment bounds accepted fragment sizes (1 MB is far beyond any
-// NFS3 message this codebase produces).
-const maxFragment = 1 << 20
+// MaxRecord bounds a whole record, summed over its fragments (1 MiB is
+// far beyond any NFS3 message this codebase produces). Bounding the
+// total, not each fragment, is what stops a peer that never sets the
+// last-fragment bit from growing the receive buffer without limit.
+const MaxRecord = 1 << 20
 
 // MarkSize is the size of the record-marking header BeginRecord
 // reserves.
@@ -201,8 +203,8 @@ const MarkSize = 4
 // BeginRecord reserves space for a record mark at the end of buf and
 // returns the extended slice. The caller appends the record's bytes,
 // then seals it with FinishRecord; the mark, RPC header and payload all
-// land in one buffer so the whole record goes to the socket in a single
-// write with no re-framing copy.
+// land in one buffer, so the record needs no re-framing copy and a
+// batch of records goes to the socket as one gather write.
 func BeginRecord(buf []byte) []byte {
 	return append(buf, 0, 0, 0, 0)
 }
@@ -243,21 +245,30 @@ func ReadRecord(r io.Reader) ([]byte, error) {
 // (appending from length zero, growing if needed) and returns the
 // record. Callers that recycle buffers pass the previous return value —
 // or a pooled buffer — back in, making steady-state record reads
-// allocation-free.
+// allocation-free. A record longer than MaxRecord is an error.
+//
+// Each record costs two reads (mark, then body), so a connection's read
+// loop should hand in a *bufio.Reader: records already in its buffer are
+// then framed without a syscall.
 func ReadRecordInto(r io.Reader, buf []byte) ([]byte, error) {
 	out := buf[:0]
 	for {
-		var hdr [MarkSize]byte
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		// The mark is read into the tail of out, where the fragment's
+		// body then lands over it: a local array would escape through
+		// the io.Reader call and cost an allocation per fragment.
+		start := len(out)
+		out = append(out, 0, 0, 0, 0)
+		hdr := out[start:]
+		if _, err := io.ReadFull(r, hdr); err != nil {
 			return nil, err
 		}
 		n := uint32(hdr[0])<<24 | uint32(hdr[1])<<16 | uint32(hdr[2])<<8 | uint32(hdr[3])
 		last := n&lastFragmentBit != 0
 		n &^= lastFragmentBit
-		if n > maxFragment {
-			return nil, errors.New("sunrpc: fragment too large")
+		out = out[:start]
+		if n > uint32(MaxRecord-start) {
+			return nil, errors.New("sunrpc: record too large")
 		}
-		start := len(out)
 		if need := start + int(n); need <= cap(out) {
 			out = out[:need]
 		} else {
