@@ -143,15 +143,19 @@ func (f *FaultInjector) Stats(dir int) FaultStats {
 	return f.dirs[dir&1].snapshot()
 }
 
-// faultAction is one message's fate. The zero value delivers the
-// message untouched.
+// faultAction is one datagram's fate.
 type faultAction struct {
 	drop     bool
 	dup      bool
 	delay    time.Duration
 	truncate int // new length, -1 = intact
-	stall    time.Duration
-	reset    bool
+}
+
+// recordAction is one TCP record's fate. The zero value delivers the
+// record untouched.
+type recordAction struct {
+	stall time.Duration
+	reset bool
 }
 
 // datagram decides a UDP message's fate. size is the datagram length
@@ -203,8 +207,8 @@ func (f *FaultInjector) datagram(dir, size int) faultAction {
 }
 
 // record decides a TCP record's fate.
-func (f *FaultInjector) record(dir int) faultAction {
-	act := faultAction{truncate: -1}
+func (f *FaultInjector) record(dir int) recordAction {
+	var act recordAction
 	if f == nil {
 		return act
 	}
