@@ -7,7 +7,10 @@
 //	nfsserve -addr 127.0.0.1:12049 -file demo=4 -heuristic slowdown
 //
 // then read "demo" (4 MB of patterned data) with any client built on
-// internal/memfs.DialClient, e.g. examples/liveserver.
+// internal/memfs.DialClient, e.g. examples/liveserver. The server is
+// stood up the one way every live server in the repository is:
+// nfsd.New mounts the backend and nfsd.NewServer serves it, with the
+// tap, fault injector and span table below as rpcnet.ServerOptions.
 //
 // The storage backend is pluggable: -backend mem (the default
 // in-memory store) or -backend zone, which places files at concrete
@@ -224,7 +227,7 @@ func main() {
 		reg.CounterFunc("nfstrace_records_total", capt.Total)
 	}
 
-	srv, err := nfsd.NewServerOpts(*addr, svc, rpcnet.ServerOptions{
+	srv, err := nfsd.NewServer(*addr, svc, rpcnet.ServerOptions{
 		Tap:    tap,
 		Faults: faults,
 		Spans:  svc.SpanTable(),

@@ -25,8 +25,8 @@ func main() {
 	}
 	fs.Create(nfstricks.LiveRootFH, "demo", data)
 
-	svc := nfstricks.NewLiveService(fs, nfstricks.SlowDown{}, nil)
-	srv, err := nfstricks.ServeLive("127.0.0.1:0", svc)
+	svc := nfstricks.NewLiveService(fs, nfstricks.LiveConfig{Heuristic: nfstricks.SlowDown{}})
+	srv, err := nfstricks.ServeLive("127.0.0.1:0", svc, nfstricks.LiveServeOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -59,8 +59,8 @@ func main() {
 	}
 
 	// Stride read against a cursor-equipped server.
-	cursorSvc := nfstricks.NewLiveService(fs, &nfstricks.CursorHeuristic{}, nil)
-	srv2, err := nfstricks.ServeLive("127.0.0.1:0", cursorSvc)
+	cursorSvc := nfstricks.NewLiveService(fs, nfstricks.LiveConfig{Heuristic: &nfstricks.CursorHeuristic{}})
+	srv2, err := nfstricks.ServeLive("127.0.0.1:0", cursorSvc, nfstricks.LiveServeOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

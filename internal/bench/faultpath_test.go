@@ -38,8 +38,9 @@ func TestFaultPathSmoke(t *testing.T) {
 // TestFaultPathLossyUDPWithDRC is the headline acceptance cell: a
 // create/rename/remove workload over UDP with 5% per-direction
 // datagram loss, DRC on, must complete with zero spurious NOENT/EXIST
-// answers and zero duplicated executions — every retransmission that
-// reaches the server is answered from the cache, never re-run.
+// answers, zero duplicated executions and an empty directory at the
+// end — every retransmission that reaches the server is answered from
+// the cache, never re-run.
 func TestFaultPathLossyUDPWithDRC(t *testing.T) {
 	p := Params{Runs: 1, Scale: 1, Seed: 42}
 	p.fill()
@@ -52,6 +53,9 @@ func TestFaultPathLossyUDPWithDRC(t *testing.T) {
 	}
 	if m.dupExec != 0 {
 		t.Errorf("duplicated executions = %d, want 0", m.dupExec)
+	}
+	if m.leftover != 0 {
+		t.Errorf("leftover directory entries = %d, want 0", m.leftover)
 	}
 	drops := m.faultsIn.Drops + m.faultsOut.Drops
 	if drops == 0 {

@@ -56,8 +56,7 @@ func liveScaleCell(shards, n int, p Params, reg *obs.Registry) (float64, error) 
 		Obs:       reg,
 	})
 	defer svc.Close()
-	srv, err := nfsd.NewServerOpts("127.0.0.1:0", svc,
-		rpcnet.ServerOptions{Spans: svc.SpanTable()})
+	srv, err := nfsd.NewServer("127.0.0.1:0", svc, rpcnet.ServerOptions{Spans: svc.SpanTable()})
 	if err != nil {
 		return 0, err
 	}

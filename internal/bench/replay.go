@@ -6,9 +6,11 @@ import (
 	"time"
 
 	"nfstricks/internal/memfs"
+	"nfstricks/internal/nfsd"
 	"nfstricks/internal/nfsproto"
 	"nfstricks/internal/nfstrace"
 	"nfstricks/internal/replay"
+	"nfstricks/internal/rpcnet"
 	"nfstricks/internal/stats"
 	"nfstricks/internal/tracefile"
 )
@@ -58,7 +60,7 @@ func captureWorkload(perStream int) ([]tracefile.Record, float64, error) {
 		return nil, 0, err
 	}
 	capt := nfstrace.NewCapture(w)
-	srv, err := memfs.NewServerTap("127.0.0.1:0", memfs.NewService(fs, nil, nil), capt.Tap)
+	srv, err := nfsd.NewServer("127.0.0.1:0", nfsd.New(fs, nfsd.Config{}), rpcnet.ServerOptions{Tap: capt.Tap})
 	if err != nil {
 		return nil, 0, err
 	}
@@ -189,7 +191,7 @@ func TraceReplay(p Params) (*Result, error) {
 			// A fresh server over an identically built store: captured
 			// handles replay under the identity mapping.
 			fs, _ := traceReplayEnv(perStream)
-			srv, err := memfs.NewServer("127.0.0.1:0", memfs.NewService(fs, nil, nil))
+			srv, err := nfsd.NewServer("127.0.0.1:0", nfsd.New(fs, nfsd.Config{}), rpcnet.ServerOptions{})
 			if err != nil {
 				return nil, fmt.Errorf("trace-replay: %w", err)
 			}

@@ -7,7 +7,9 @@ import (
 	"time"
 
 	"nfstricks/internal/memfs"
+	"nfstricks/internal/nfsd"
 	"nfstricks/internal/nfsproto"
+	"nfstricks/internal/rpcnet"
 	"nfstricks/internal/stats"
 	"nfstricks/internal/wgather"
 )
@@ -59,7 +61,7 @@ func writePathPattern(buf []byte, i int, off uint64) {
 // integrity checks.
 type writePathEnv struct {
 	fs   *memfs.FS
-	svc  *memfs.Service
+	svc  *nfsd.Service
 	mem  *wgather.MemSink
 	addr string
 	fhs  []nfsproto.FH
@@ -75,11 +77,11 @@ func newWritePathEnv(window time.Duration, sinkLatency time.Duration, perClient 
 		fhs[i], _ = fs.Create(memfs.RootFH, fmt.Sprintf("w%d", i), make([]byte, perClient))
 	}
 	mem := wgather.NewMemSink()
-	svc := memfs.NewServiceGather(fs, nil, nil, wgather.Config{
+	svc := nfsd.New(fs, nfsd.Config{Gather: wgather.Config{
 		Window: window,
 		Sink:   &wgather.ThrottledSink{Inner: mem, Latency: sinkLatency},
-	})
-	srv, err := memfs.NewServer("127.0.0.1:0", svc)
+	}})
+	srv, err := nfsd.NewServer("127.0.0.1:0", svc, rpcnet.ServerOptions{})
 	if err != nil {
 		svc.Close()
 		return nil, err
@@ -212,27 +214,36 @@ func runUnstable(env *writePathEnv, perClient int) (float64, []time.Duration, er
 // runHotspot rewrites one hot region UNSTABLE many times before a
 // single COMMIT — the coalescing showcase: bytes gathered greatly
 // exceed bytes flushed because overlapping dirty ranges absorb each
-// other inside the window. Returns the flushed/gathered percentage
-// (lower = more coalescing).
+// other inside the window. The region is a small file of its own, so
+// its rewrites start a fresh gather window rather than inheriting one
+// from the streaming cell's files, and each copy-on-write overwrite
+// copies 32 KB rather than a whole client file: the passes then fit
+// inside a few-millisecond window on a slow host too, and the cell
+// measures coalescing rather than host speed. Returns the
+// flushed/gathered percentage (lower = more coalescing).
 func runHotspot(env *writePathEnv) (float64, error) {
 	c, err := memfs.DialClient("tcp", env.addr)
 	if err != nil {
 		return 0, err
 	}
 	defer c.Close()
-	before := env.svc.WriteStats()
 	const passes = 8
-	const region = 16 * writePathChunk
+	const region = 4 * writePathChunk
+	hot, err := env.fs.Create(memfs.RootFH, "hot", make([]byte, region))
+	if err != nil {
+		return 0, err
+	}
+	before := env.svc.WriteStats()
 	buf := make([]byte, writePathChunk)
 	for p := 0; p < passes; p++ {
 		for off := uint64(0); off < region; off += writePathChunk {
 			writePathPattern(buf, 0, off)
-			if _, err := c.WriteUnstable(env.fhs[0], off, buf); err != nil {
+			if _, err := c.WriteUnstable(hot, off, buf); err != nil {
 				return 0, err
 			}
 		}
 	}
-	if _, err := c.Commit(env.fhs[0], 0, 0); err != nil {
+	if _, err := c.Commit(hot, 0, 0); err != nil {
 		return 0, err
 	}
 	after := env.svc.WriteStats()
@@ -272,8 +283,8 @@ func checkWriteThroughEquivalence() error {
 	fs := memfs.NewFS()
 	fh, _ := fs.Create(memfs.RootFH, "sync", nil)
 	mem := wgather.NewMemSink()
-	svc := memfs.NewServiceGather(fs, nil, nil, wgather.Config{Window: 0, Sink: mem})
-	srv, err := memfs.NewServer("127.0.0.1:0", svc)
+	svc := nfsd.New(fs, nfsd.Config{Gather: wgather.Config{Window: 0, Sink: mem}})
+	srv, err := nfsd.NewServer("127.0.0.1:0", svc, rpcnet.ServerOptions{})
 	if err != nil {
 		svc.Close()
 		return err

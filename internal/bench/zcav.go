@@ -59,8 +59,7 @@ func zcavCell(placement zonefs.Placement, cacheMB, xferKB int, run int, p Params
 	}
 	svc := nfsd.New(backend, nfsd.Config{Obs: reg})
 	defer svc.Close()
-	srv, err := nfsd.NewServerOpts("127.0.0.1:0", svc,
-		rpcnet.ServerOptions{Spans: svc.SpanTable()})
+	srv, err := nfsd.NewServer("127.0.0.1:0", svc, rpcnet.ServerOptions{Spans: svc.SpanTable()})
 	if err != nil {
 		return 0, err
 	}

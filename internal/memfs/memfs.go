@@ -3,8 +3,9 @@
 // data bytes with copy-on-write read views, plus the live NFS client
 // and its biod-style write-behind pipeline. The protocol work — proc
 // dispatch, nfsheur read-ahead heuristics, write gathering, tracing —
-// lives in internal/nfsd; the Service/NewService names here are thin
-// compatibility wrappers that mount an FS behind that dispatch layer.
+// lives in internal/nfsd, which mounts an FS with nfsd.New and serves
+// it with nfsd.NewServer. The backend itself imports nothing from the
+// dispatch layer above it.
 package memfs
 
 import (
@@ -15,13 +16,9 @@ import (
 	"sync"
 	"time"
 
-	"nfstricks/internal/nfsd"
-	"nfstricks/internal/nfsheur"
 	"nfstricks/internal/nfsproto"
-	"nfstricks/internal/readahead"
 	"nfstricks/internal/rpcnet"
 	"nfstricks/internal/vfs"
-	"nfstricks/internal/wgather"
 )
 
 // RootFH is the file handle of the root directory.
@@ -35,13 +32,6 @@ const RootFH = vfs.RootFH
 // colliding one. 2³² local creates exhaust tens of GB of object
 // headers long before the counter can reach the bound.
 const LocalFHBound nfsproto.FH = 1 << 32
-
-// MaxFileSize bounds a file's length (4 GB); see vfs.MaxFileSize.
-const MaxFileSize = vfs.MaxFileSize
-
-// ErrTooBig is returned by Write for offsets or lengths that would grow
-// a file past MaxFileSize.
-var ErrTooBig = vfs.ErrTooBig
 
 // dirent is one directory entry: the object it names and the readdir
 // cookie assigned when it was linked in (see the vfs paging contract).
@@ -357,8 +347,8 @@ func (fs *FS) Setattr(fh nfsproto.FH, size uint64) error {
 	if o.dir != nil {
 		return fmt.Errorf("%w: %d", vfs.ErrIsDir, fh)
 	}
-	if size > MaxFileSize {
-		return fmt.Errorf("%w (setattr size=%d)", ErrTooBig, size)
+	if size > vfs.MaxFileSize {
+		return fmt.Errorf("%w (setattr size=%d)", vfs.ErrTooBig, size)
 	}
 	cur := uint64(len(o.data))
 	switch {
@@ -424,8 +414,8 @@ func (fs *FS) Write(fh nfsproto.FH, off uint64, data []byte) error {
 	if f.dir != nil {
 		return fmt.Errorf("%w: %d", vfs.ErrIsDir, fh)
 	}
-	if off > MaxFileSize || uint64(len(data)) > MaxFileSize-off {
-		return fmt.Errorf("%w (off=%d len=%d)", ErrTooBig, off, len(data))
+	if off > vfs.MaxFileSize || uint64(len(data)) > vfs.MaxFileSize-off {
+		return fmt.Errorf("%w (off=%d len=%d)", vfs.ErrTooBig, off, len(data))
 	}
 	size := uint64(len(f.data))
 	need := off + uint64(len(data))
@@ -531,45 +521,6 @@ func (fs *FS) Fsstat() (total, free uint64) {
 		return total, 0
 	}
 	return total, total - used
-}
-
-// Service is the live NFS service; it lives in internal/nfsd and is
-// aliased here for the packages that grew up against the memfs-hosted
-// dispatch.
-type Service = nfsd.Service
-
-// ServiceStats counts live-service activity (alias of nfsd.Stats).
-type ServiceStats = nfsd.Stats
-
-// NewService mounts fs behind the nfsd dispatch layer. heuristic and
-// table may be nil for the live defaults: the paper's SlowDown
-// heuristic over a GOMAXPROCS-sharded table (nfsheur.ScaledParams).
-// Pass an explicit table with Shards: 1 to reproduce the paper's
-// single-table behaviour. The write path is write-through (gather
-// window 0); use NewServiceGather to enable the asynchronous write
-// pipeline.
-func NewService(fs *FS, heuristic readahead.Heuristic, table *nfsheur.Table) *Service {
-	return NewServiceGather(fs, heuristic, table, wgather.Config{})
-}
-
-// NewServiceGather is NewService with an explicit write-gathering
-// configuration (gather window, byte bounds, stable-storage sink). The
-// engine's Source is always the wrapped FS — cfg.Source is ignored.
-// Close the service to stop the engine's background flusher and flush
-// remaining dirty data.
-func NewServiceGather(fs *FS, heuristic readahead.Heuristic, table *nfsheur.Table, cfg wgather.Config) *Service {
-	return nfsd.New(fs, nfsd.Config{Heuristic: heuristic, Table: table, Gather: cfg})
-}
-
-// NewServer binds addr and serves svc over real UDP and TCP sockets.
-func NewServer(addr string, svc *Service) (*rpcnet.Server, error) {
-	return nfsd.NewServer(addr, svc)
-}
-
-// NewServerTap is NewServer with a capture tap observing every served
-// RPC (nil tap = NewServer); see nfsd.NewServerTap.
-func NewServerTap(addr string, svc *Service, tap rpcnet.Tap) (*rpcnet.Server, error) {
-	return nfsd.NewServerTap(addr, svc, tap)
 }
 
 // Client is a minimal NFS client over rpcnet for the live service.

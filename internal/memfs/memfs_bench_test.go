@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"nfstricks/internal/nfsd"
 	"nfstricks/internal/nfsheur"
 	"nfstricks/internal/nfsproto"
 	"nfstricks/internal/readahead"
@@ -32,8 +33,8 @@ func BenchmarkLiveReadSaturation(b *testing.B) {
 			}
 			tp := nfsheur.ScaledParams()
 			tp.Shards = shards
-			svc := NewService(fs, readahead.SlowDown{}, nfsheur.New(tp))
-			srv, err := rpcnet.NewServer("127.0.0.1:0", nfsproto.Program, nfsproto.Version3, svc.Handler())
+			svc := nfsd.New(fs, nfsd.Config{Heuristic: readahead.SlowDown{}, Table: nfsheur.New(tp)})
+			srv, err := nfsd.NewServer("127.0.0.1:0", svc, rpcnet.ServerOptions{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -85,8 +86,8 @@ func BenchmarkPipelinedReadsOneClient(b *testing.B) {
 	const fileSize = 1 << 20
 	fs := NewFS()
 	fs.Create(RootFH, "f", make([]byte, fileSize))
-	svc := NewService(fs, nil, nil)
-	srv, err := rpcnet.NewServer("127.0.0.1:0", nfsproto.Program, nfsproto.Version3, svc.Handler())
+	svc := nfsd.New(fs, nfsd.Config{})
+	srv, err := nfsd.NewServer("127.0.0.1:0", svc, rpcnet.ServerOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"testing"
 
-	"nfstricks/internal/nfsproto"
+	"nfstricks/internal/nfsd"
 	"nfstricks/internal/readahead"
 	"nfstricks/internal/rpcnet"
 )
@@ -54,7 +54,7 @@ func TestFSStaleHandle(t *testing.T) {
 }
 
 // startLive spins up a real loopback server and returns its address.
-func startLive(t *testing.T) (*Service, string) {
+func startLive(t *testing.T) (*nfsd.Service, string) {
 	t.Helper()
 	fs := NewFS()
 	payload := make([]byte, 256*1024)
@@ -63,8 +63,8 @@ func startLive(t *testing.T) (*Service, string) {
 	}
 	fs.Create(RootFH, "big", payload)
 	fs.Create(RootFH, "hello", []byte("hello, world"))
-	svc := NewService(fs, nil, nil)
-	srv, err := rpcnet.NewServer("127.0.0.1:0", nfsproto.Program, nfsproto.Version3, svc.Handler())
+	svc := nfsd.New(fs, nfsd.Config{})
+	srv, err := nfsd.NewServer("127.0.0.1:0", svc, rpcnet.ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,8 +227,8 @@ func TestServiceStrideDetectedByCursor(t *testing.T) {
 	fs := NewFS()
 	payload := make([]byte, 512*1024)
 	fs.Create(RootFH, "s", payload)
-	svc := NewService(fs, &readahead.CursorHeuristic{}, nil)
-	srv, err := rpcnet.NewServer("127.0.0.1:0", nfsproto.Program, nfsproto.Version3, svc.Handler())
+	svc := nfsd.New(fs, nfsd.Config{Heuristic: &readahead.CursorHeuristic{}})
+	srv, err := nfsd.NewServer("127.0.0.1:0", svc, rpcnet.ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

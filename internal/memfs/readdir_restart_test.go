@@ -8,6 +8,7 @@ import (
 
 	"nfstricks/internal/nfsd"
 	"nfstricks/internal/nfsproto"
+	"nfstricks/internal/rpcnet"
 	"nfstricks/internal/vfs"
 )
 
@@ -40,7 +41,7 @@ func TestReaddirAllRestartCap(t *testing.T) {
 	backend := &badCookieFS{FS: fs}
 	svc := nfsd.New(backend, nfsd.Config{})
 	defer svc.Close()
-	srv, err := nfsd.NewServer("127.0.0.1:0", svc)
+	srv, err := nfsd.NewServer("127.0.0.1:0", svc, rpcnet.ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +91,7 @@ func TestReaddirAllRecoversWithinBudget(t *testing.T) {
 	backend := &flakyCookieFS{FS: fs, budget: 3}
 	svc := nfsd.New(backend, nfsd.Config{})
 	defer svc.Close()
-	srv, err := nfsd.NewServer("127.0.0.1:0", svc)
+	srv, err := nfsd.NewServer("127.0.0.1:0", svc, rpcnet.ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

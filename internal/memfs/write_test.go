@@ -7,22 +7,24 @@ import (
 	"testing"
 	"time"
 
+	"nfstricks/internal/nfsd"
 	"nfstricks/internal/nfsproto"
+	"nfstricks/internal/rpcnet"
 	"nfstricks/internal/wgather"
 )
 
 // startGatherServer serves a store of nFiles pre-sized files through a
 // gathering engine with the given config, returning the service,
 // address and handles.
-func startGatherServer(t *testing.T, nFiles, fileSize int, cfg wgather.Config) (*Service, string, []nfsproto.FH) {
+func startGatherServer(t *testing.T, nFiles, fileSize int, cfg wgather.Config) (*nfsd.Service, string, []nfsproto.FH) {
 	t.Helper()
 	fs := NewFS()
 	fhs := make([]nfsproto.FH, nFiles)
 	for i := range fhs {
 		fhs[i], _ = fs.Create(RootFH, fmt.Sprintf("w%d", i), make([]byte, fileSize))
 	}
-	svc := NewServiceGather(fs, nil, nil, cfg)
-	srv, err := NewServer("127.0.0.1:0", svc)
+	svc := nfsd.New(fs, nfsd.Config{Gather: cfg})
+	srv, err := nfsd.NewServer("127.0.0.1:0", svc, rpcnet.ServerOptions{})
 	if err != nil {
 		svc.Close()
 		t.Fatal(err)
@@ -101,13 +103,13 @@ func TestLiveUnstableWriteCommit(t *testing.T) {
 }
 
 // TestLiveDefaultServiceIsWriteThrough pins the legacy configuration:
-// NewService (no gather config) answers every write FILE_SYNC — the
+// A service with no gather config answers every write FILE_SYNC — the
 // synchronous behaviour the server always had.
 func TestLiveDefaultServiceIsWriteThrough(t *testing.T) {
 	fs := NewFS()
 	fh, _ := fs.Create(RootFH, "f", nil)
-	svc := NewService(fs, nil, nil)
-	srv, err := NewServer("127.0.0.1:0", svc)
+	svc := nfsd.New(fs, nfsd.Config{})
+	srv, err := nfsd.NewServer("127.0.0.1:0", svc, rpcnet.ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

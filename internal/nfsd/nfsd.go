@@ -91,7 +91,7 @@ type Stats struct {
 	Commits      int64
 }
 
-// Service adapts a vfs.Backend to an rpcnet.Handler speaking the NFS
+// Service adapts a vfs.Backend to an rpcnet.InfoHandler speaking the NFS
 // v3 subset, running a real nfsheur table + heuristic on the READ path
 // and the write-gathering engine on the WRITE path. Safe for
 // concurrent use by multiple goroutines.
@@ -109,8 +109,7 @@ type Service struct {
 	engine   *wgather.Engine
 	maxAhead int
 	// dupcache, when non-nil, shields non-idempotent procedures from
-	// retransmissions (see InfoHandler; the identity-blind Handler path
-	// cannot consult it).
+	// retransmissions (see InfoHandler).
 	dupcache *drc.Cache
 	// spans is the per-proc stage span table (nil without Config.Obs);
 	// the transport drives span lifecycle (rpcnet.ServerOptions.Spans),
@@ -329,29 +328,20 @@ func (s *Service) countProc(proc uint32) {
 	}
 }
 
-// Handler returns the rpcnet handler for the NFS program. Results are
-// appended straight into the server's pooled reply buffer; on the READ
-// path the payload is a copy-on-write view of the file segment, so the
-// append is the single payload copy between storage and the socket.
-func (s *Service) Handler() rpcnet.Handler {
-	return func(proc uint32, body []byte, reply []byte) ([]byte, uint32) {
-		out, stat := s.dispatch(nil, proc, body, reply)
-		if stat == sunrpc.AcceptSuccess {
-			// Served RPCs only: garbage args and unknown procedures are
-			// rejected above the NFS layer and stay out of ProcCounts.
-			s.countProc(proc)
-		}
-		return out, stat
-	}
-}
-
-// InfoHandler is Handler plus the duplicate request cache: with the
-// call's wire identity in hand, a retransmitted non-idempotent call is
-// answered from the cache (Hit), dropped while its original executes
-// (Busy — the retransmission's next round finds the reply), or executed
-// and its reply retained (Miss). Cache hits do NOT count in ProcCounts,
-// so ProcCounts stays "procedures actually executed" — the number an
-// experiment checks to assert zero duplicated side effects.
+// InfoHandler returns the rpcnet handler for the NFS program. Results
+// are appended straight into the server's pooled reply buffer; on the
+// READ path the payload is a copy-on-write view of the file segment, so
+// the append is the single payload copy between storage and the socket.
+//
+// With the duplicate request cache on, the call's wire identity decides
+// a retransmitted non-idempotent call: answered from the cache (Hit),
+// dropped while its original executes (Busy — the retransmission's next
+// round finds the reply), or executed and its reply retained (Miss).
+// Only served RPCs count in ProcCounts: garbage args, unknown procedures
+// and cache hits stay out, so ProcCounts is "procedures actually
+// executed" — the number an experiment checks to assert zero duplicated
+// side effects. A zero CallInfo (no span, no peer) is a valid way to
+// call it directly.
 func (s *Service) InfoHandler() rpcnet.InfoHandler {
 	return func(info rpcnet.CallInfo, proc uint32, body, reply []byte) ([]byte, uint32) {
 		sp := info.Span
@@ -678,17 +668,24 @@ func (s *Service) create(body, reply []byte) ([]byte, uint32) {
 }
 
 // setattr serves the size attribute (truncate/extend); the reduced
-// contract carries no others.
+// contract carries no others. A call with set_size off changes nothing
+// and answers with the object's current attributes.
 func (s *Service) setattr(body, reply []byte) ([]byte, uint32) {
 	args, err := nfsproto.UnmarshalSetattrArgs(body)
 	if err != nil {
 		return reply, sunrpc.AcceptGarbageArgs
 	}
-	if serr := s.b.Setattr(args.FH, args.Size); serr != nil {
-		res := nfsproto.SetattrRes{Status: statusOf(serr)}
+	if !args.KeepSize {
+		if serr := s.b.Setattr(args.FH, args.Size); serr != nil {
+			res := nfsproto.SetattrRes{Status: statusOf(serr)}
+			return res.AppendTo(reply), sunrpc.AcceptSuccess
+		}
+	}
+	a, ok := s.b.Getattr(args.FH)
+	if !ok {
+		res := nfsproto.SetattrRes{Status: nfsproto.ErrStale}
 		return res.AppendTo(reply), sunrpc.AcceptSuccess
 	}
-	a, _ := s.b.Getattr(args.FH)
 	attrs := objAttrs(args.FH, a)
 	res := nfsproto.SetattrRes{Status: nfsproto.OK, Attrs: &attrs}
 	return res.AppendTo(reply), sunrpc.AcceptSuccess
@@ -895,28 +892,17 @@ func (s *Service) fsstat(body, reply []byte) ([]byte, uint32) {
 	return res.AppendTo(reply), sunrpc.AcceptSuccess
 }
 
-// NewServer binds addr and serves svc over real UDP and TCP sockets.
-func NewServer(addr string, svc *Service) (*rpcnet.Server, error) {
-	return NewServerOpts(addr, svc, rpcnet.ServerOptions{})
-}
-
-// NewServerTap is NewServer with a capture tap observing every served
-// RPC (nil tap = NewServer). Pair it with nfstrace.Capture to record
-// live request streams to a .nft trace file:
+// NewServer binds addr and serves svc's InfoHandler over real UDP and
+// TCP sockets. opts carries the optional capture tap, fault injection
+// and span table; the zero value is a plain server. Pair a tap with
+// nfstrace.Capture to record live request streams to a .nft trace file:
 //
 //	w, _ := tracefile.Create("out.nft", time.Now())
 //	cap := nfstrace.NewCapture(w)
-//	srv, _ := nfsd.NewServerTap(addr, svc, cap.Tap)
+//	srv, _ := nfsd.NewServer(addr, svc, rpcnet.ServerOptions{Tap: cap.Tap})
 //
 // The tap adds one pointer check per request when nil and one record
 // append (no payload copy) when capturing.
-func NewServerTap(addr string, svc *Service, tap rpcnet.Tap) (*rpcnet.Server, error) {
-	return NewServerOpts(addr, svc, rpcnet.ServerOptions{Tap: tap})
-}
-
-// NewServerOpts is the full-width constructor: capture tap and fault
-// injection. The service always mounts through its InfoHandler, so a
-// DRC-enabled Config works behind every constructor.
-func NewServerOpts(addr string, svc *Service, opts rpcnet.ServerOptions) (*rpcnet.Server, error) {
+func NewServer(addr string, svc *Service, opts rpcnet.ServerOptions) (*rpcnet.Server, error) {
 	return rpcnet.NewServerInfo(addr, nfsproto.Program, nfsproto.Version3, svc.InfoHandler(), opts)
 }

@@ -8,6 +8,7 @@ import (
 	"nfstricks/internal/memfs"
 	"nfstricks/internal/nfsd"
 	"nfstricks/internal/nfsproto"
+	"nfstricks/internal/rpcnet"
 	"nfstricks/internal/sunrpc"
 	"nfstricks/internal/vfs"
 	"nfstricks/internal/wgather"
@@ -19,7 +20,7 @@ func startLive(t *testing.T) (*memfs.FS, *nfsd.Service, string) {
 	fs := memfs.NewFS()
 	fs.Create(vfs.RootFH, "hello", []byte("hello, world"))
 	svc := nfsd.New(fs, nfsd.Config{})
-	srv, err := nfsd.NewServer("127.0.0.1:0", svc)
+	srv, err := nfsd.NewServer("127.0.0.1:0", svc, rpcnet.ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +148,7 @@ func TestCreateReplaceDoesNotPoisonGather(t *testing.T) {
 	fs.Create(vfs.RootFH, "other", make([]byte, 8192))
 	svc := nfsd.New(fs, nfsd.Config{Gather: wgather.Config{Window: 50 * time.Millisecond}})
 	defer svc.Close()
-	srv, err := nfsd.NewServer("127.0.0.1:0", svc)
+	srv, err := nfsd.NewServer("127.0.0.1:0", svc, rpcnet.ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +200,7 @@ func TestRemoveRenameDoesNotPoisonGather(t *testing.T) {
 	fs.Create(vfs.RootFH, "other", make([]byte, 8192))
 	svc := nfsd.New(fs, nfsd.Config{Gather: wgather.Config{Window: 50 * time.Millisecond}})
 	defer svc.Close()
-	srv, err := nfsd.NewServer("127.0.0.1:0", svc)
+	srv, err := nfsd.NewServer("127.0.0.1:0", svc, rpcnet.ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,10 +258,54 @@ func TestDispatchUnknownProcStillUnavail(t *testing.T) {
 	fs := memfs.NewFS()
 	svc := nfsd.New(fs, nfsd.Config{})
 	defer svc.Close()
-	h := svc.Handler()
+	h := svc.InfoHandler()
 	for _, proc := range []uint32{5 /* READLINK */, 10 /* SYMLINK */, 13 /* RMDIR */, 99} {
-		if _, stat := h(proc, nil, nil); stat != sunrpc.AcceptProcUnavail {
+		if _, stat := h(rpcnet.CallInfo{}, proc, nil, nil); stat != sunrpc.AcceptProcUnavail {
 			t.Fatalf("proc %d: stat %d, want PROC_UNAVAIL", proc, stat)
 		}
+	}
+}
+
+// TestDispatchSetattrKeepSize pins SETATTR's set_size union: a call
+// with set_it=false is legal, changes nothing and answers with the
+// post-op attributes — even when bytes trail the discriminant, which
+// must not be read as a size. A set_it=true call still truncates.
+func TestDispatchSetattrKeepSize(t *testing.T) {
+	fs := memfs.NewFS()
+	fh, _ := fs.Create(vfs.RootFH, "f", []byte("0123456789"))
+	svc := nfsd.New(fs, nfsd.Config{})
+	defer svc.Close()
+	h := svc.InfoHandler()
+	setattr := func(body []byte) *nfsproto.SetattrRes {
+		t.Helper()
+		out, stat := h(rpcnet.CallInfo{}, nfsproto.ProcSetattr, body, nil)
+		if stat != sunrpc.AcceptSuccess {
+			t.Fatalf("accept stat %d, want SUCCESS", stat)
+		}
+		res, err := nfsproto.UnmarshalSetattrRes(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	keep := (&nfsproto.SetattrArgs{FH: fh, KeepSize: true}).Marshal()
+	for _, body := range [][]byte{keep, append(keep, 0, 0, 0, 0, 0, 0, 0, 3)} {
+		res := setattr(body)
+		if res.Status != nfsproto.OK || res.Attrs == nil || res.Attrs.Size != 10 {
+			t.Fatalf("set_it=false: %+v, want OK with size 10", res)
+		}
+		if a, _ := fs.Getattr(fh); a.Size != 10 {
+			t.Fatalf("set_it=false changed the file: size %d", a.Size)
+		}
+	}
+	res := setattr((&nfsproto.SetattrArgs{FH: fh, Size: 4}).Marshal())
+	if res.Status != nfsproto.OK || res.Attrs == nil || res.Attrs.Size != 4 {
+		t.Fatalf("set_it=true: %+v, want OK with size 4", res)
+	}
+	if res := setattr((&nfsproto.SetattrArgs{FH: fh + 999, KeepSize: true}).Marshal()); res.Status != nfsproto.ErrStale {
+		t.Fatalf("set_it=false on a stale handle: status %d, want STALE", res.Status)
+	}
+	if got := svc.ProcCounts()[nfsproto.ProcSetattr]; got != 4 {
+		t.Fatalf("ProcCounts[SETATTR] = %d, want 4", got)
 	}
 }

@@ -84,7 +84,7 @@ func TestLiveSpanStageSums(t *testing.T) {
 	}
 	svc := nfsd.New(fs, nfsd.Config{Obs: reg})
 	defer svc.Close()
-	srv, err := nfsd.NewServerOpts("127.0.0.1:0", svc,
+	srv, err := nfsd.NewServer("127.0.0.1:0", svc,
 		rpcnet.ServerOptions{Spans: svc.SpanTable()})
 	if err != nil {
 		t.Fatal(err)

@@ -61,6 +61,7 @@ func appendCases() []struct {
 		{"FsstatRes/err", &FsstatRes{Status: ErrIO}},
 		{"SetattrArgs", &SetattrArgs{FH: 7, Size: 1 << 16}},
 		{"SetattrArgs/truncate-to-zero", &SetattrArgs{FH: 7}},
+		{"SetattrArgs/keep-size", &SetattrArgs{FH: 7, KeepSize: true}},
 		{"SetattrRes", &SetattrRes{Status: OK, Attrs: attrs}},
 		{"SetattrRes/no-attrs", &SetattrRes{Status: OK}},
 		{"SetattrRes/err", &SetattrRes{Status: ErrIsDir}},

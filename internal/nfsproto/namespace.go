@@ -18,16 +18,23 @@ import "nfstricks/internal/xdr"
 
 // SetattrArgs is a reduced SETATTR3args: the size attribute only
 // (truncate or extend), which is the one attribute the flat-attribute
-// backends honour.
+// backends honour. On the wire the size is sattr3's set_size union:
+// a set_it discriminant, then the size only when set_it is true.
 type SetattrArgs struct {
-	FH   FH
-	Size uint64
+	FH FH
+	// KeepSize encodes set_it=false: the call changes nothing and
+	// carries no size. The zero value sets the size to Size.
+	KeepSize bool
+	Size     uint64
 }
 
 // AppendTo appends the encoded arguments to buf.
 func (s *SetattrArgs) AppendTo(buf []byte) []byte {
 	buf = appendFH(buf, s.FH)
-	buf = xdr.AppendBool(buf, true) // set_size follows
+	buf = xdr.AppendBool(buf, !s.KeepSize)
+	if s.KeepSize {
+		return buf
+	}
 	return xdr.AppendUint64(buf, s.Size)
 }
 
@@ -37,14 +44,23 @@ func (s *SetattrArgs) Marshal() []byte {
 }
 
 // WireSize reports the exact encoded size.
-func (s *SetattrArgs) WireSize() int { return fhWireSize + 4 + 8 }
+func (s *SetattrArgs) WireSize() int {
+	if s.KeepSize {
+		return fhWireSize + 4
+	}
+	return fhWireSize + 4 + 8
+}
 
-// UnmarshalSetattrArgs decodes SetattrArgs.
+// UnmarshalSetattrArgs decodes SetattrArgs. A set_it=false arm reads no
+// size: bytes after it are not taken for one.
 func UnmarshalSetattrArgs(b []byte) (*SetattrArgs, error) {
 	d := xdr.NewDecoder(b)
 	s := &SetattrArgs{FH: decodeFH(d)}
-	d.Bool()
-	s.Size = d.Uint64()
+	if d.Bool() {
+		s.Size = d.Uint64()
+	} else {
+		s.KeepSize = true
+	}
 	return s, d.Err()
 }
 

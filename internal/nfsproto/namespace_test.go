@@ -5,13 +5,28 @@ import (
 	"testing/quick"
 )
 
-// TestSetattrRoundTrip covers the size-only SETATTR args and both
-// result arms.
+// TestSetattrRoundTrip covers both arms of the size-only SETATTR args
+// (set_it true and false) and both result arms.
 func TestSetattrRoundTrip(t *testing.T) {
 	a := &SetattrArgs{FH: 9, Size: 1 << 33}
 	got, err := UnmarshalSetattrArgs(a.Marshal())
 	if err != nil || *got != *a {
 		t.Fatalf("args round trip: %+v err=%v", got, err)
+	}
+	keep := &SetattrArgs{FH: 9, KeepSize: true}
+	got, err = UnmarshalSetattrArgs(keep.Marshal())
+	if err != nil || *got != *keep {
+		t.Fatalf("set_it=false round trip: %+v err=%v", got, err)
+	}
+	if n := len(keep.Marshal()); n != keep.WireSize() || n != a.WireSize()-8 {
+		t.Fatalf("set_it=false encodes %d bytes (WireSize %d), want no size field", n, keep.WireSize())
+	}
+	// Bytes after a set_it=false arm are not a size: they must not
+	// turn a "change nothing" call into a truncation.
+	trailing := append(keep.Marshal(), 0, 0, 0, 0, 0, 0, 0x10, 0)
+	got, err = UnmarshalSetattrArgs(trailing)
+	if err != nil || !got.KeepSize || got.Size != 0 {
+		t.Fatalf("set_it=false with trailing bytes: %+v err=%v", got, err)
 	}
 	res := &SetattrRes{Status: OK, Attrs: sampleAttrs()}
 	gr, err := UnmarshalSetattrRes(res.Marshal())

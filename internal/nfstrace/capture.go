@@ -18,11 +18,11 @@ import (
 // records: it decodes the NFS-level fields (file handle, offset, count)
 // from each request body, reads the NFS status off the reply, and
 // appends one record per served RPC to a tracefile.Writer. Install it
-// with rpcnet.NewServerTap (or memfs.NewServerTap):
+// with nfsd.NewServer (or rpcnet.ServerOptions.Tap on any rpcnet server):
 //
 //	w, _ := tracefile.Create("out.nft", time.Now())
 //	cap := nfstrace.NewCapture(w)
-//	srv, _ := memfs.NewServerTap(addr, svc, cap.Tap)
+//	srv, _ := nfsd.NewServer(addr, svc, rpcnet.ServerOptions{Tap: cap.Tap})
 //	...
 //	cap.Close() // flush; then close w's file via w or cap
 //
@@ -151,10 +151,14 @@ func parseArgs(proc uint32, body []byte) (fh uint64, offset uint64, count uint32
 		fh = readFH()
 	case nfsproto.ProcSetattr:
 		// The requested size rides in Offset so analyze/replay can see
-		// truncations without a new record field.
+		// truncations without a new record field; a call that sets no
+		// size is marked in Count instead.
 		fh = readFH()
-		d.Bool() // set_size discriminant (always true on our wire)
-		offset = d.Uint64()
+		if d.Bool() { // set_size.set_it: a size follows
+			offset = d.Uint64()
+		} else {
+			count = tracefile.SetattrKeepSize
+		}
 	case nfsproto.ProcRead, nfsproto.ProcCommit:
 		fh = readFH()
 		offset = d.Uint64()

@@ -7,7 +7,9 @@ import (
 	"time"
 
 	"nfstricks/internal/memfs"
+	"nfstricks/internal/nfsd"
 	"nfstricks/internal/nfsproto"
+	"nfstricks/internal/rpcnet"
 	"nfstricks/internal/tracefile"
 	"nfstricks/internal/wgather"
 )
@@ -30,8 +32,8 @@ func captureRun(t *testing.T, network string) []tracefile.Record {
 		payload[i] = byte(i)
 	}
 	fs.Create(memfs.RootFH, "data", payload)
-	svc := memfs.NewService(fs, nil, nil)
-	srv, err := memfs.NewServerTap("127.0.0.1:0", svc, cap.Tap)
+	svc := nfsd.New(fs, nfsd.Config{})
+	srv, err := nfsd.NewServer("127.0.0.1:0", svc, rpcnet.ServerOptions{Tap: cap.Tap})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,9 +233,9 @@ func TestCaptureWritePath(t *testing.T) {
 
 	fs := memfs.NewFS()
 	fh, _ := fs.Create(memfs.RootFH, "w", make([]byte, 64*1024))
-	svc := memfs.NewServiceGather(fs, nil, nil, wgather.Config{Window: time.Minute})
+	svc := nfsd.New(fs, nfsd.Config{Gather: wgather.Config{Window: time.Minute}})
 	defer svc.Close()
-	srv, err := memfs.NewServerTap("127.0.0.1:0", svc, cap.Tap)
+	srv, err := nfsd.NewServer("127.0.0.1:0", svc, rpcnet.ServerOptions{Tap: cap.Tap})
 	if err != nil {
 		t.Fatal(err)
 	}

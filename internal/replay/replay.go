@@ -453,8 +453,10 @@ func buildCall(rec tracefile.Record, mapFH func(uint64) nfsproto.FH) (proc uint3
 	case nfsproto.ProcCommit:
 		return rec.Proc, fh, (&nfsproto.CommitArgs{FH: fh, Offset: rec.Offset, Count: rec.Count}).Marshal(), false
 	case nfsproto.ProcSetattr:
-		// Capture stores the requested size in Offset.
-		return rec.Proc, fh, (&nfsproto.SetattrArgs{FH: fh, Size: rec.Offset}).Marshal(), false
+		// Capture stores the requested size in Offset, or marks a call
+		// that set none in Count.
+		s := &nfsproto.SetattrArgs{FH: fh, Size: rec.Offset, KeepSize: rec.Count == tracefile.SetattrKeepSize}
+		return rec.Proc, fh, s.Marshal(), false
 	case nfsproto.ProcReaddir:
 		// Captured cookies belong to the original server's scan state;
 		// replaying them verbatim against a fresh store would draw

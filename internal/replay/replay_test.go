@@ -8,8 +8,10 @@ import (
 	"time"
 
 	"nfstricks/internal/memfs"
+	"nfstricks/internal/nfsd"
 	"nfstricks/internal/nfsproto"
 	"nfstricks/internal/nfstrace"
+	"nfstricks/internal/rpcnet"
 	"nfstricks/internal/tracefile"
 	"nfstricks/internal/wgather"
 )
@@ -17,6 +19,7 @@ import (
 // replayTarget is a live capturing server to replay against.
 type replayTarget struct {
 	addr string
+	fs   *memfs.FS
 	fhA  nfsproto.FH
 	fhB  nfsproto.FH
 }
@@ -30,7 +33,7 @@ func newTarget(t *testing.T) (*replayTarget, func() []tracefile.Record) {
 	}
 	fhA, _ := fs.Create(memfs.RootFH, "a", payload)
 	fhB, _ := fs.Create(memfs.RootFH, "b", payload)
-	svc := memfs.NewService(fs, nil, nil)
+	svc := nfsd.New(fs, nfsd.Config{})
 
 	var buf bytes.Buffer
 	start := time.Now()
@@ -39,11 +42,11 @@ func newTarget(t *testing.T) (*replayTarget, func() []tracefile.Record) {
 		t.Fatal(err)
 	}
 	capt := nfstrace.NewCaptureAt(w, start)
-	srv, err := memfs.NewServerTap("127.0.0.1:0", svc, capt.Tap)
+	srv, err := nfsd.NewServer("127.0.0.1:0", svc, rpcnet.ServerOptions{Tap: capt.Tap})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tg := &replayTarget{addr: srv.Addr(), fhA: fhA, fhB: fhB}
+	tg := &replayTarget{addr: srv.Addr(), fs: fs, fhA: fhA, fhB: fhB}
 	var once sync.Once
 	collect := func() []tracefile.Record {
 		var recs []tracefile.Record
@@ -276,6 +279,51 @@ func TestReplayCaptureRoundTrip(t *testing.T) {
 	matchStreams(t, expectedKeys(captured), keysByStream(collect2()))
 }
 
+// TestReplaySetattrKeepsSize captures a SETATTR that sets no size
+// (set_it=false) beside one that truncates, replays the capture, and
+// checks that only the truncation reaches the replay target's files.
+func TestReplaySetattrKeepsSize(t *testing.T) {
+	tg1, collect1 := newTarget(t)
+	rc, err := rpcnet.Dial("tcp", tg1.addr, nfsproto.Program, nfsproto.Version3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range []*nfsproto.SetattrArgs{
+		{FH: tg1.fhA, KeepSize: true},
+		{FH: tg1.fhB, Size: 4096},
+	} {
+		body, err := rc.Call(nfsproto.ProcSetattr, args.Marshal())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res, err := nfsproto.UnmarshalSetattrRes(body); err != nil || res.Status != nfsproto.OK {
+			t.Fatalf("setattr %+v: %+v, %v", args, res, err)
+		}
+	}
+	rc.Close()
+	captured := collect1()
+	for _, r := range captured {
+		if r.Proc == nfsproto.ProcSetattr && r.FH == uint64(tg1.fhA) && r.Count != tracefile.SetattrKeepSize {
+			t.Fatalf("set_it=false SETATTR captured as %+v, want Count %d", r, tracefile.SetattrKeepSize)
+		}
+	}
+
+	tg2, _ := newTarget(t)
+	st, err := Run(captured, Options{Addr: tg2.addr, Timing: AsFast})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Ops != 2 || st.Errors != 0 || st.NFSErrors != 0 {
+		t.Fatalf("replay stats %+v", st)
+	}
+	if a, _ := tg2.fs.Getattr(tg2.fhA); a.Size != 256*1024 {
+		t.Fatalf("replayed set_it=false SETATTR left size %d, want %d", a.Size, 256*1024)
+	}
+	if b, _ := tg2.fs.Getattr(tg2.fhB); b.Size != 4096 {
+		t.Fatalf("replayed truncation left size %d, want 4096", b.Size)
+	}
+}
+
 // TestReplayDispatchesInArrivalOrder: .nft files hold records in
 // completion order, where a pipelined stream's arrival times regress;
 // replay must dispatch by arrival time, not file position.
@@ -334,9 +382,9 @@ func TestOptionsValidation(t *testing.T) {
 func TestReplayWriteStabilityAndCommit(t *testing.T) {
 	fs := memfs.NewFS()
 	fh, _ := fs.Create(memfs.RootFH, "w", make([]byte, 256*1024))
-	svc := memfs.NewServiceGather(fs, nil, nil, wgather.Config{Window: time.Minute})
+	svc := nfsd.New(fs, nfsd.Config{Gather: wgather.Config{Window: time.Minute}})
 	defer svc.Close()
-	srv, err := memfs.NewServer("127.0.0.1:0", svc)
+	srv, err := nfsd.NewServer("127.0.0.1:0", svc, rpcnet.ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,9 +427,9 @@ func TestReplayWriteStabilityAndCommit(t *testing.T) {
 func TestReplayV1TraceStillWorks(t *testing.T) {
 	fs := memfs.NewFS()
 	fh, _ := fs.Create(memfs.RootFH, "w", make([]byte, 64*1024))
-	svc := memfs.NewServiceGather(fs, nil, nil, wgather.Config{Window: time.Minute})
+	svc := nfsd.New(fs, nfsd.Config{Gather: wgather.Config{Window: time.Minute}})
 	defer svc.Close()
-	srv, err := memfs.NewServer("127.0.0.1:0", svc)
+	srv, err := nfsd.NewServer("127.0.0.1:0", svc, rpcnet.ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -198,13 +198,13 @@ func TestClientClosesMidPipeline(t *testing.T) {
 	release := make(chan struct{})
 	var entered atomic.Int32
 	allIn := make(chan struct{})
-	s, err := NewServer("127.0.0.1:0", 1, 1, func(_ uint32, body []byte, reply []byte) ([]byte, uint32) {
+	s, err := NewServerInfo("127.0.0.1:0", 1, 1, func(_ CallInfo, _ uint32, body []byte, reply []byte) ([]byte, uint32) {
 		if entered.Add(1) == inFlight {
 			close(allIn)
 		}
 		<-release
 		return append(reply, body...), sunrpc.AcceptSuccess
-	})
+	}, ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,7 @@ var sinkBody []byte
 // GETATTR-sized and a 32 KiB payload. Client and server share the
 // process, so ns/op, B/op and allocs/op cover both ends.
 func BenchmarkRoundTrip(b *testing.B) {
-	s, err := NewServer("127.0.0.1:0", 100003, 3, echoHandler)
+	s, err := NewServerInfo("127.0.0.1:0", 100003, 3, echoHandler, ServerOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -31,20 +31,6 @@ import (
 // maxUDPMessage bounds datagram buffers (rsize 32 KB + headers).
 const maxUDPMessage = 64 * 1024
 
-// Handler serves one RPC call: given the procedure number, the
-// XDR-encoded argument body and the partially built reply, it appends
-// the XDR-encoded result to reply and returns the extended slice plus
-// an accept status. Appending into the caller's buffer — which already
-// holds the record mark and RPC header — is what makes the reply path
-// single-copy: a READ payload moves from storage to the wire buffer
-// exactly once.
-//
-// body may alias a pooled receive buffer and is valid only for the
-// duration of the call; handlers must not retain it (or views decoded
-// from it) after returning. Handlers must only append to reply and must
-// be safe for concurrent use.
-type Handler func(proc uint32, body []byte, reply []byte) ([]byte, uint32)
-
 // CallInfo identifies one call on the wire: which client sent it and
 // under which XID. A duplicate request cache needs exactly this —
 // (client, XID) is the retransmission identity ONC RPC gives us.
@@ -63,11 +49,23 @@ type CallInfo struct {
 	Span *obs.Span
 }
 
-// InfoHandler is Handler plus the call's wire identity. Returning
-// StatDrop as the accept status suppresses the reply entirely — the
-// server behaves as if the request were lost, which is how a duplicate
-// request cache answers a retransmission whose original is still
-// executing.
+// InfoHandler serves one RPC call: given the call's wire identity, the
+// procedure number, the XDR-encoded argument body and the partially
+// built reply, it appends the XDR-encoded result to reply and returns
+// the extended slice plus an accept status. Appending into the caller's
+// buffer — which already holds the record mark and RPC header — is what
+// makes the reply path single-copy: a READ payload moves from storage
+// to the wire buffer exactly once.
+//
+// body may alias a pooled receive buffer and is valid only for the
+// duration of the call; handlers must not retain it (or views decoded
+// from it) after returning. Handlers must only append to reply and must
+// be safe for concurrent use.
+//
+// Returning StatDrop as the accept status suppresses the reply
+// entirely — the server behaves as if the request were lost, which is
+// how a duplicate request cache answers a retransmission whose original
+// is still executing.
 type InfoHandler func(info CallInfo, proc uint32, body []byte, reply []byte) ([]byte, uint32)
 
 // StatDrop is the sentinel accept status an InfoHandler returns to
@@ -244,24 +242,8 @@ type Server struct {
 	wg     sync.WaitGroup
 }
 
-// NewServer binds addr (e.g. "127.0.0.1:0") for program prog version
-// vers and starts serving. Close shuts it down.
-func NewServer(addr string, prog, vers uint32, handler Handler) (*Server, error) {
-	return NewServerTap(addr, prog, vers, handler, nil)
-}
-
-// NewServerTap is NewServer with a capture tap observing every served
-// RPC (see Tap). A nil tap is exactly NewServer.
-func NewServerTap(addr string, prog, vers uint32, handler Handler, tap Tap) (*Server, error) {
-	return NewServerInfo(addr, prog, vers,
-		func(_ CallInfo, proc uint32, body, reply []byte) ([]byte, uint32) {
-			return handler(proc, body, reply)
-		},
-		ServerOptions{Tap: tap})
-}
-
 // ServerOptions carries the optional knobs of NewServerInfo. The zero
-// value is a plain server: no capture, perfect network.
+// value is a plain server: no capture, perfect network, no spans.
 type ServerOptions struct {
 	// Tap observes every served RPC (see Tap).
 	Tap Tap
@@ -277,9 +259,9 @@ type ServerOptions struct {
 	Spans *obs.SpanTable
 }
 
-// NewServerInfo is the full-width constructor: an InfoHandler that sees
-// each call's wire identity (and may drop calls via StatDrop), plus
-// options for capture and fault injection.
+// NewServerInfo binds addr (e.g. "127.0.0.1:0") for program prog
+// version vers and starts serving handler on UDP and TCP. Close shuts
+// it down.
 func NewServerInfo(addr string, prog, vers uint32, handler InfoHandler, opts ServerOptions) (*Server, error) {
 	udpAddr, err := net.ResolveUDPAddr("udp", addr)
 	if err != nil {

@@ -93,6 +93,12 @@ const StatusRetransmit = 1 << 30
 // or accept_stat value.
 const StatusFlags = StatusRPCError | StatusRetransmit
 
+// SetattrKeepSize in a SETATTR record's Count marks a call whose
+// set_size arm was off (set_it=false): it changed no size and Offset
+// holds none. A SETATTR with Count 0 set the size to Offset, which is
+// also how every trace written before the marker reads.
+const SetattrKeepSize = 1
+
 // ErrBadMagic is returned by NewReader for streams that are not
 // trace files of a known version.
 var ErrBadMagic = errors.New("tracefile: bad magic (not a .nft version 1 or 2 trace)")
@@ -104,8 +110,8 @@ type Record struct {
 	Stream  uint32        // client connection (TCP) / peer (UDP) id
 	Proc    uint32        // NFS procedure number
 	FH      uint64        // file handle (dir handle for LOOKUP/CREATE)
-	Offset  uint64        // byte offset (READ/WRITE/COMMIT)
-	Count   uint32        // byte count (READ/WRITE/COMMIT)
+	Offset  uint64        // byte offset (READ/WRITE/COMMIT); requested size (SETATTR)
+	Count   uint32        // byte count (READ/WRITE/COMMIT); SetattrKeepSize or 0 (SETATTR)
 	Stable  uint32        // requested write stability (WRITE; V1Stable for v1 files)
 	Status  uint32        // NFS status, or StatusRPCError|accept_stat
 	Latency time.Duration // server-side service time

@@ -21,6 +21,7 @@ import (
 
 	"nfstricks/internal/nfsd"
 	"nfstricks/internal/nfsproto"
+	"nfstricks/internal/rpcnet"
 	"nfstricks/internal/sunrpc"
 	"nfstricks/internal/vfs"
 	"nfstricks/internal/wgather"
@@ -544,8 +545,7 @@ func testSetattr(t *testing.T, b vfs.Backend) {
 // call drives one RPC through a service handler without sockets.
 func call(t *testing.T, svc *nfsd.Service, proc uint32, args []byte) []byte {
 	t.Helper()
-	h := svc.Handler()
-	out, stat := h(proc, args, nil)
+	out, stat := svc.InfoHandler()(rpcnet.CallInfo{}, proc, args, nil)
 	if stat != sunrpc.AcceptSuccess {
 		t.Fatalf("proc %s: accept stat %d", nfsproto.ProcName(proc), stat)
 	}

@@ -165,7 +165,7 @@ const flushChunk = 1 << 20
 const verifierStep = 0x9e3779b97f4a7c15
 
 // Stats is a snapshot of the engine's counters. Counters are
-// independent atomics; see memfs.ServiceStats for the torn-snapshot
+// independent atomics; see nfsd.Service.Stats for the torn-snapshot
 // caveat under load.
 type Stats struct {
 	// WritesUnstable/DataSync/FileSync count Write calls by requested

@@ -24,8 +24,8 @@ func startLiveServer(t *testing.T, nFiles int, fileSize int) (*LiveService, stri
 	for i := 0; i < nFiles; i++ {
 		fs.Create(LiveRootFH, fmt.Sprintf("f%d", i), payload)
 	}
-	svc := NewLiveService(fs, nil, nil)
-	srv, err := ServeLive("127.0.0.1:0", svc)
+	svc := NewLiveService(fs, LiveConfig{})
+	srv, err := ServeLive("127.0.0.1:0", svc, LiveServeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,11 +166,11 @@ func TestLiveAsyncWritePipeline(t *testing.T) {
 		fhs[i], _ = fs.Create(LiveRootFH, fmt.Sprintf("w%d", i), make([]byte, fileSize))
 	}
 	sink := NewMemStableSink()
-	svc := NewLiveServiceGather(fs, nil, nil, WriteGatherConfig{
+	svc := NewLiveService(fs, LiveConfig{Gather: WriteGatherConfig{
 		Window: 2 * time.Millisecond,
 		Sink:   sink,
-	})
-	srv, err := ServeLive("127.0.0.1:0", svc)
+	}})
+	srv, err := ServeLive("127.0.0.1:0", svc, LiveServeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

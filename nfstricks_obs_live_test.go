@@ -53,9 +53,9 @@ func TestLiveAdminUnderTraffic(t *testing.T) {
 	for i := 0; i < clients; i++ {
 		fs.Create(LiveRootFH, fmt.Sprintf("f%d", i), payload)
 	}
-	svc := NewLiveServiceBackend(fs, LiveConfig{Obs: reg})
+	svc := NewLiveService(fs, LiveConfig{Obs: reg})
 	defer svc.Close()
-	srv, err := ServeLiveObserved("127.0.0.1:0", svc)
+	srv, err := ServeLive("127.0.0.1:0", svc, LiveServeOptions{Spans: svc.SpanTable()})
 	if err != nil {
 		t.Fatal(err)
 	}
