@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -16,11 +17,12 @@ import (
 
 // ClientConfig tunes a shard-aware client.
 type ClientConfig struct {
-	// PoolSize is the connection count per shard (default 4). Streams
-	// share these round-robin — amplified replay must not dial per
-	// tenant or it exhausts ephemeral ports.
+	// PoolSize is the size of each shard's rpcnet.Pool (default 4).
+	// Streams share a shard's connections round-robin — amplified
+	// replay must not dial per tenant or it exhausts ephemeral ports.
 	PoolSize int
-	// Timeout bounds each call and map fetch (default 10s).
+	// Timeout bounds each call, redirect chase included, and each map
+	// fetch (default 10s).
 	Timeout time.Duration
 	// MaxRedirects bounds wrong-shard retries per call (default 8) —
 	// a map changing faster than a client can chase it should fail
@@ -49,14 +51,8 @@ var ErrRedirectLoop = errors.New("cluster: redirected past retry budget")
 type ClientStats struct {
 	Redirects    int64  // wrong-shard replies received
 	MapRefreshes int64  // control-plane map fetches triggered
-	Dials        int64  // shard connections opened
+	Dials        int64  // shard connections opened, over all pools
 	MapVersion   uint64 // currently held map version
-}
-
-// shardPool is one shard's shared connections.
-type shardPool struct {
-	conns []*rpcnet.Client
-	next  atomic.Uint32
 }
 
 // Client routes NFS calls to the owning shard by consistent hash on
@@ -70,12 +66,11 @@ type Client struct {
 	ctrl    *rpcnet.Client
 	cur     atomic.Pointer[Map]
 
-	mu    sync.Mutex // pools growth + refresh single-flight
-	pools map[uint32]*shardPool
+	mu    sync.Mutex // pools map + refresh single-flight
+	pools map[uint32]*rpcnet.Pool
 
 	redirects atomic.Int64
 	refreshes atomic.Int64
-	dials     atomic.Int64
 
 	allocMu   sync.Mutex
 	allocNext uint64
@@ -99,7 +94,7 @@ func DialClient(network, ctrlAddr string, cfg ClientConfig) (*Client, error) {
 		network: network,
 		cfg:     cfg,
 		ctrl:    ctrl,
-		pools:   make(map[uint32]*shardPool),
+		pools:   make(map[uint32]*rpcnet.Pool),
 	}
 	c.cur.Store(m)
 	return c, nil
@@ -110,16 +105,23 @@ func (c *Client) MapVersion() uint64 { return c.cur.Load().Version }
 
 // Stats returns the client's coordination counters.
 func (c *Client) Stats() ClientStats {
+	c.mu.Lock()
+	var dials int64
+	for _, p := range c.pools {
+		dials += int64(p.Conns())
+	}
+	c.mu.Unlock()
 	return ClientStats{
 		Redirects:    c.redirects.Load(),
 		MapRefreshes: c.refreshes.Load(),
-		Dials:        c.dials.Load(),
+		Dials:        dials,
 		MapVersion:   c.MapVersion(),
 	}
 }
 
-// conn returns a pooled connection to the shard owning fh, plus the
-// map consulted (for error messages).
+// conn returns a pooled connection to the shard owning fh. Dials run
+// under the shard pool's lock, not c.mu; a dial failure (typed
+// rpcnet.ErrConnExhausted included) surfaces as-is.
 func (c *Client) conn(fh nfsproto.FH) (*rpcnet.Client, error) {
 	m := c.cur.Load()
 	owner, ok := m.Owner(uint64(fh))
@@ -127,25 +129,13 @@ func (c *Client) conn(fh nfsproto.FH) (*rpcnet.Client, error) {
 		return nil, fmt.Errorf("cluster: empty map v%d", m.Version)
 	}
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	p := c.pools[owner.ID]
 	if p == nil {
-		p = &shardPool{}
+		p = rpcnet.NewPool(c.network, owner.Addr, nfsproto.Program, nfsproto.Version3, c.cfg.PoolSize, c.cfg.Timeout)
 		c.pools[owner.ID] = p
 	}
-	if len(p.conns) < c.cfg.PoolSize {
-		cl, err := rpcnet.Dial(c.network, owner.Addr, nfsproto.Program, nfsproto.Version3)
-		if err != nil {
-			// rpcnet typed the exhaustion case (ErrConnExhausted);
-			// surface it as-is so amplified callers can diagnose.
-			return nil, err
-		}
-		cl.SetTimeout(c.cfg.Timeout)
-		c.dials.Add(1)
-		p.conns = append(p.conns, cl)
-		return cl, nil
-	}
-	return p.conns[p.next.Add(1)%uint32(len(p.conns))], nil
+	c.mu.Unlock()
+	return p.Get()
 }
 
 // ensureVersion refreshes the map if the held version is older than
@@ -195,11 +185,14 @@ func (c *Client) Go(proc uint32, fh nfsproto.FH, args []byte) *Pending {
 }
 
 // Wait blocks for the reply, chasing wrong-shard redirects: refresh
-// the map to at least the redirect's version, re-route, re-issue.
+// the map to at least the redirect's version, re-route, re-issue. When
+// d > 0 it bounds the whole chase: each attempt waits only for what
+// remains of d.
 func (p *Pending) Wait(d time.Duration) ([]byte, error) {
 	if p.err != nil {
 		return nil, p.err
 	}
+	deadline := time.Now().Add(d)
 	for attempt := 0; ; attempt++ {
 		body, err := p.p.Wait(d)
 		if err != nil {
@@ -215,6 +208,12 @@ func (p *Pending) Wait(d time.Duration) ([]byte, error) {
 		}
 		if err := p.c.ensureVersion(version); err != nil {
 			return nil, err
+		}
+		if d > 0 {
+			if d = time.Until(deadline); d <= 0 {
+				return nil, fmt.Errorf("cluster: proc %d fh %d: redirect chase outlived its deadline: %w: %w",
+					p.proc, p.fh, rpcnet.ErrReplyTimeout, context.DeadlineExceeded)
+			}
 		}
 		cl, err := p.c.conn(p.fh)
 		if err != nil {
@@ -323,20 +322,14 @@ func (t transport) Go(proc uint32, fh nfsproto.FH, args []byte) replay.Pending {
 	return t.c.Go(proc, fh, args)
 }
 
-// Close here is a no-op: the transport is a view of the shared client,
-// whose lifetime the caller owns.
-func (t transport) Close() error { return nil }
-
 // Close closes every pooled connection and the control-plane link.
 func (c *Client) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var first error
 	for _, p := range c.pools {
-		for _, cl := range p.conns {
-			if err := cl.Close(); err != nil && first == nil {
-				first = err
-			}
+		if err := p.Close(); err != nil && first == nil {
+			first = err
 		}
 	}
 	if err := c.ctrl.Close(); err != nil && first == nil {

@@ -9,7 +9,9 @@ import (
 	"time"
 
 	"nfstricks/internal/nfsproto"
+	"nfstricks/internal/obs"
 	"nfstricks/internal/rpcnet"
+	"nfstricks/internal/sunrpc"
 )
 
 func newTestCluster(t *testing.T, shards int) *Cluster {
@@ -459,5 +461,42 @@ func TestFenceParksPostFlipWriteUntilDelta(t *testing.T) {
 	}
 	if got := binary.BigEndian.Uint64(data); got != 2 {
 		t.Fatalf("delta pass reverted the post-flip write: file holds %d, want 2", got)
+	}
+}
+
+// TestDirtyMarkCoversWriteAppliedAfterTrackingStarts pins the order of
+// dirty marking against the write it records: a write admitted while
+// dirty tracking is off, but still executing when a rebalance turns
+// tracking on, may apply after the copy pass has read its file. It must
+// therefore land in the dirty set, or no delta pass re-ships it and the
+// new owner keeps the pre-write bytes.
+func TestDirtyMarkCoversWriteAppliedAfterTrackingStarts(t *testing.T) {
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	inner := func(_ rpcnet.CallInfo, proc uint32, _, reply []byte) ([]byte, uint32) {
+		if proc == nfsproto.ProcWrite {
+			close(entered)
+			<-release
+		}
+		return binary.BigEndian.AppendUint32(reply, nfsproto.OK), sunrpc.AcceptSuccess
+	}
+	m := NewMap(1, []ShardInfo{{ID: 0, Addr: "unused"}})
+	g := newGuard(0, m, inner, nil, obs.NewRegistry())
+
+	const fh = nfsproto.FH(7)
+	body := (&nfsproto.WriteArgs{FH: fh, Count: 8, Stable: nfsproto.WriteFileSync, Data: make([]byte, 8)}).Marshal()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		g.handler(rpcnet.CallInfo{}, nfsproto.ProcWrite, body, nil)
+	}()
+	<-entered
+	g.trackDirty(true)
+	close(release)
+	<-done
+
+	dirty := g.takeDirty()
+	if len(dirty) != 1 || dirty[0] != fh {
+		t.Fatalf("dirty set after a write that applied under tracking = %v, want [%d]", dirty, fh)
 	}
 }

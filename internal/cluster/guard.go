@@ -176,7 +176,13 @@ func (g *guard) handler(info rpcnet.CallInfo, proc uint32, body, reply []byte) (
 		if f := g.fence.Load(); f != nil && f.covers(g.id, uint64(fh)) {
 			<-f.done
 		}
-		g.markDirty(fh)
+		// Mark after the mutation has applied, not before: a write that
+		// marks while tracking is still off but applies after tracking
+		// turns on could land behind the copy pass's read of its file
+		// and be in no dirty set, so no delta would re-ship it. Marking
+		// afterwards, a write that finds tracking off applied before
+		// tracking began, hence before the copy pass read the file.
+		defer g.markDirty(fh)
 	}
 	if proc == ProcClusterCreate {
 		return g.clusterCreate(info, body, reply)
@@ -203,8 +209,8 @@ func (g *guard) clusterCreate(info rpcnet.CallInfo, body, reply []byte) ([]byte,
 		info.Span.Mark(obs.StageExec)
 		return reply, sunrpc.AcceptGarbageArgs
 	}
-	// handler already dirty-marked the handle (ProcClusterCreate is in
-	// mutates and args.FH is the peeked routing handle).
+	// handler dirty-marks the handle once this returns (ProcClusterCreate
+	// is in mutates and args.FH is the peeked routing handle).
 	err := g.fs.CreateAt(vfs.RootFH, args.Name, args.FH, make([]byte, args.Size))
 	info.Span.Mark(obs.StageExec)
 	if err != nil {

@@ -81,17 +81,17 @@ func TestReplayAmplify(t *testing.T) {
 	}
 }
 
-// TestReplayAmplifyPoolsConnections: an explicit pool bounds the
-// socket count no matter the amplification factor.
+// TestReplayAmplifyPoolsConnections: a pool bounds the socket count no
+// matter the amplification factor.
 func TestReplayAmplifyPoolsConnections(t *testing.T) {
 	tg, _ := newTarget(t)
 	src := traceFor(tg, 0)
-	pool := NewPool("tcp", tg.addr, 3, 5*time.Second)
+	pool := rpcnet.NewPool("tcp", tg.addr, nfsproto.Program, nfsproto.Version3, 3, 5*time.Second)
 	defer pool.Close()
 	st, err := Run(src, Options{
 		Network: "tcp", Addr: tg.addr,
 		OpenLoop: true, Amplify: 8,
-		Dial: pool.Dial,
+		Dial: poolDial(pool),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -110,8 +110,7 @@ func TestReplayAmplifyPoolsConnections(t *testing.T) {
 func TestPoolSurfacesExhaustionTyped(t *testing.T) {
 	tg, _ := newTarget(t)
 	src := traceFor(tg, 0)
-	pool := NewPool("tcp", tg.addr, 4, 0)
-	pool.dialFn = func(network, addr string) (*rpcnet.Client, error) {
+	exhausted := func(uint32) (Transport, error) {
 		return nil, fmt.Errorf("rpcnet: %w: dial tcp: %v",
 			rpcnet.ErrConnExhausted, syscall.EADDRNOTAVAIL)
 	}
@@ -119,7 +118,7 @@ func TestPoolSurfacesExhaustionTyped(t *testing.T) {
 	go func() {
 		_, err := Run(src, Options{
 			Network: "tcp", Addr: tg.addr,
-			Amplify: 4, Dial: pool.Dial,
+			Amplify: 4, Dial: exhausted,
 		})
 		done <- err
 	}()

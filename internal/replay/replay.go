@@ -85,16 +85,15 @@ type Options struct {
 	// tenant its own file set (nil = MapFH for every tenant, so
 	// tenants share files).
 	TenantFH func(tenant int, fh uint64) nfsproto.FH
-	// Dial supplies the transport for a replay stream (nil = dedicated
-	// rpcnet connection per stream to Network/Addr — except under
-	// amplification, where streams share a Pool of PoolSize
-	// connections; dialing per tenant×stream exhausts ephemeral
-	// ports). Transports returned by a custom Dial are not closed by
-	// Run; their owner closes them.
+	// Dial supplies the transport for a replay stream (nil = a stream
+	// draws its connection from an rpcnet.Pool to Network/Addr that Run
+	// opens and closes). Run never closes a transport that Dial
+	// returned; its owner does.
 	Dial func(stream uint32) (Transport, error)
-	// PoolSize bounds the automatic pool used when Amplify > 1 and
-	// Dial is nil (default: one connection per captured stream, capped
-	// at 16).
+	// PoolSize is the connection count of Run's own pool when Dial is
+	// nil (default: one connection per captured stream, capped at 16
+	// when Amplify > 1 — dialing per tenant×stream exhausts ephemeral
+	// ports).
 	PoolSize int
 }
 
@@ -109,30 +108,21 @@ type Pending interface {
 // plain transport ignores it.
 type Transport interface {
 	Go(proc uint32, fh nfsproto.FH, args []byte) Pending
-	Close() error
 }
 
-// conn is the plain transport: one dedicated rpcnet connection.
+// conn is the plain transport: one pooled rpcnet connection.
 type conn struct{ c *rpcnet.Client }
 
 func (t conn) Go(proc uint32, fh nfsproto.FH, args []byte) Pending {
 	return t.c.Go(proc, args)
 }
 
-func (t conn) Close() error { return t.c.Close() }
-
-// dialConn opens a dedicated connection transport. The client-side
-// timeout stays armed: it puts a write deadline on each send, so a
-// stalled TCP target (accepting but never reading) fails the transport
-// and the run finishes with errors counted instead of wedging forever
-// in the writer.
-func dialConn(opts *Options) (Transport, error) {
-	c, err := rpcnet.Dial(opts.Network, opts.Addr, nfsproto.Program, nfsproto.Version3)
-	if err != nil {
-		return nil, err
+// poolDial is a Dial that hands each stream a connection from p.
+func poolDial(p *rpcnet.Pool) func(uint32) (Transport, error) {
+	return func(uint32) (Transport, error) {
+		c, err := p.Get()
+		return conn{c}, err
 	}
-	c.SetTimeout(opts.Timeout)
-	return conn{c}, nil
 }
 
 func (o *Options) fill() error {
@@ -209,9 +199,10 @@ func File(path string, opts Options) (*Stats, error) {
 	return Run(recs, opts)
 }
 
-// Run replays records against opts.Addr. Each captured stream gets its
-// own connection and issues its records in captured order; streams run
-// concurrently and race each other exactly as the original clients did.
+// Run replays records against opts.Addr. Each captured stream issues
+// its records in captured order, by default over its own connection
+// (see Options.PoolSize); streams run concurrently and race each other
+// exactly as the original clients did.
 // READ, WRITE, COMMIT, GETATTR, SETATTR, READDIR, READDIRPLUS and NULL
 // are replayed natively (WRITE payloads are zero-filled to the captured
 // length, at the captured stability level; READDIR scans restart from
@@ -249,27 +240,22 @@ func Run(records []tracefile.Record, opts Options) (*Stats, error) {
 		sort.SliceStable(recs, func(i, j int) bool { return recs[i].When < recs[j].When })
 	}
 
-	// Transport plumbing: a custom Dial wins; otherwise amplified runs
-	// share a bounded pool (tenants must not multiply the dial count)
-	// and plain runs keep a dedicated connection per stream.
+	// A custom Dial wins; otherwise streams share Run's own pool. Its
+	// timeout puts a write deadline on each send, so a stalled TCP
+	// target (accepting, never reading) fails the connection and the
+	// run counts errors instead of wedging in the writer.
 	dial := opts.Dial
-	ownTransports := dial == nil
 	if dial == nil {
-		if opts.Amplify > 1 {
-			size := opts.PoolSize
-			if size <= 0 {
-				size = len(order)
-				if size > 16 {
-					size = 16
-				}
+		size := opts.PoolSize
+		if size <= 0 {
+			size = len(order)
+			if opts.Amplify > 1 {
+				size = min(size, 16)
 			}
-			pool := NewPool(opts.Network, opts.Addr, size, opts.Timeout)
-			defer pool.Close()
-			dial = pool.Dial
-			ownTransports = false // pool.Close owns the connections
-		} else {
-			dial = func(uint32) (Transport, error) { return dialConn(&opts) }
 		}
+		pool := rpcnet.NewPool(opts.Network, opts.Addr, nfsproto.Program, nfsproto.Version3, size, opts.Timeout)
+		defer pool.Close()
+		dial = poolDial(pool)
 	}
 
 	start := time.Now()
@@ -289,7 +275,7 @@ func Run(records []tracefile.Record, opts Options) (*Stats, error) {
 			streamID := uint32(tenant*len(order) + i)
 			go func(recs []tracefile.Record, streamID uint32, mapFH func(uint64) nfsproto.FH) {
 				defer wg.Done()
-				results <- replayStream(recs, origin, start, &opts, dial, streamID, ownTransports, mapFH)
+				results <- replayStream(recs, origin, start, &opts, dial, streamID, mapFH)
 			}(streams[id], streamID, mapFH)
 		}
 	}
@@ -347,15 +333,12 @@ type inflight struct {
 // replayStream drives one captured stream over its transport.
 func replayStream(recs []tracefile.Record, origin time.Duration, start time.Time,
 	opts *Options, dial func(uint32) (Transport, error), streamID uint32,
-	ownTransport bool, mapFH func(uint64) nfsproto.FH) streamResult {
+	mapFH func(uint64) nfsproto.FH) streamResult {
 	var res streamResult
 	t, err := dial(streamID)
 	if err != nil {
 		res.err = err
 		return res
-	}
-	if ownTransport {
-		defer t.Close()
 	}
 
 	res.latencies = make([]time.Duration, 0, len(recs))

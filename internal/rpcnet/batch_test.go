@@ -249,11 +249,16 @@ func TestClientClosesMidPipeline(t *testing.T) {
 // escaping allocation per batch on either side can.
 const maxAllocsPerPipelinedCall = 5.0
 
-// TestPipelinedRoundTripAllocs pins the allocations of a pipelined TCP
-// round trip (8 calls in flight, client and server together). The
-// batching state lives in the per-connection structs; a net.Buffers
-// header built on the stack would escape and add an allocation per
-// batch.
+// maxAllocsPerSerialCall pins a serial Call one below a Go round trip:
+// Call runs Go's path on a Pending held on the caller's stack, so the
+// heap Pending is the allocation it must not bring back.
+const maxAllocsPerSerialCall = 4.0
+
+// TestPipelinedRoundTripAllocs pins the allocations of TCP round trips,
+// client and server together: a pipelined Go round (8 calls in flight)
+// and a serial Call. The batching state lives in the per-connection
+// structs; a net.Buffers header built on the stack would escape and add
+// an allocation per batch.
 func TestPipelinedRoundTripAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are unreliable under the race detector")
@@ -265,25 +270,36 @@ func TestPipelinedRoundTripAllocs(t *testing.T) {
 	}
 	defer c.Close()
 	args := make([]byte, 100)
-	var pending [8]*Pending
-	round := func() {
-		for i := range pending {
-			pending[i] = c.Go(1, args)
+	pin := func(t *testing.T, calls int, max float64, round func()) {
+		for i := 0; i < 50; i++ {
+			round() // warm the buffer, channel and timer pools
 		}
-		for _, p := range pending {
-			if _, err := p.Wait(0); err != nil {
+		allocs := testing.AllocsPerRun(200, round) / float64(calls)
+		t.Logf("%.2f allocs per call", allocs)
+		if allocs > max {
+			t.Fatalf("%.2f allocs per call, want <= %.2f", allocs, max)
+		}
+	}
+	t.Run("go-window8", func(t *testing.T) {
+		var pending [8]*Pending
+		pin(t, len(pending), maxAllocsPerPipelinedCall, func() {
+			for i := range pending {
+				pending[i] = c.Go(1, args)
+			}
+			for _, p := range pending {
+				if _, err := p.Wait(0); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+	})
+	t.Run("call-serial", func(t *testing.T) {
+		pin(t, 1, maxAllocsPerSerialCall, func() {
+			if _, err := c.Call(1, args); err != nil {
 				t.Fatal(err)
 			}
-		}
-	}
-	for i := 0; i < 50; i++ {
-		round() // warm the buffer and channel pools
-	}
-	allocs := testing.AllocsPerRun(200, round) / float64(len(pending))
-	t.Logf("%.2f allocs per pipelined call", allocs)
-	if allocs > float64(maxAllocsPerPipelinedCall) {
-		t.Fatalf("%.2f allocs per pipelined call, want <= %.2f", allocs, float64(maxAllocsPerPipelinedCall))
-	}
+		})
+	})
 }
 
 // TestPutBufDropsOversized: a buffer grown far past the peak wire size

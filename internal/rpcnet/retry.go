@@ -207,8 +207,8 @@ func (r *Retrier) Call(proc uint32, args []byte) ([]byte, error) {
 	r.calls.Add(1)
 	c := r.c
 	xid := c.xid.Add(1)
-	ch, err := c.register(xid)
-	if err != nil {
+	ch := replyChans.Get().(chan callReply)
+	if err := c.register(xid, ch); err != nil {
 		return nil, err
 	}
 	rto := r.initialRTO()
@@ -222,18 +222,9 @@ func (r *Retrier) Call(proc uint32, args []byte) ([]byte, error) {
 		// Each transmission re-marshals the call: the writer recycles
 		// send buffers after each send, but the XID — the identity the
 		// server's DRC matches on — is the same every time.
-		bp := c.marshalCallXID(xid, proc, args)
+		bp := c.marshalCall(xid, proc, args)
 		sent := time.Now()
-		select {
-		case c.sendCh <- wireMsg{xid: xid, buf: bp}:
-		case <-c.closeCh:
-			putBuf(bp)
-			if c.unregister(xid) {
-				replyChans.Put(ch)
-			}
-			c.mu.Lock()
-			err := c.err
-			c.mu.Unlock()
+		if err := c.enqueue(xid, bp, ch, nil); err != nil {
 			return nil, err
 		}
 		t := acquireTimer(r.jittered(rto))
@@ -246,8 +237,7 @@ func (r *Retrier) Call(proc uint32, args []byte) ([]byte, error) {
 				// lost datagram would get (the peer may be rebooting).
 				r.sendFails.Add(1)
 				lastCause = reply.err
-				if err := c.reregister(xid, ch); err != nil {
-					replyChans.Put(ch)
+				if err := c.register(xid, ch); err != nil {
 					return nil, err
 				}
 				time.Sleep(r.jittered(rto))

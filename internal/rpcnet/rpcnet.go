@@ -747,7 +747,7 @@ func (s *Server) process(msg []byte, out []byte, ev *TapEvent, info CallInfo) (r
 // serializes sends (on TCP, every call queued when it wakes goes out in
 // one writev), a reader goroutine demultiplexes replies to the
 // matching call by XID, and each call waits only on its own reply (or
-// its context). There is no one-outstanding-call lock.
+// its deadline). There is no one-outstanding-call lock.
 type Client struct {
 	network string
 	conn    net.Conn
@@ -831,8 +831,9 @@ func newClient(network string, conn net.Conn, prog, vers uint32, faults *FaultIn
 	return c
 }
 
-// SetTimeout sets the per-call deadline used by Call (not CallContext)
-// and the write deadline applied to each socket send.
+// SetTimeout sets the deadline that bounds each Call end to end (queue
+// wait and reply wait) and the write deadline applied to each socket
+// send.
 func (c *Client) SetTimeout(d time.Duration) { c.timeout.Store(int64(d)) }
 
 // ErrClientClosed is returned for calls on a closed client.
@@ -840,9 +841,10 @@ var ErrClientClosed = errors.New("rpcnet: client closed")
 
 // ErrConnExhausted tags dial failures caused by local resource limits —
 // ephemeral ports (EADDRNOTAVAIL, EADDRINUSE) or file descriptors
-// (EMFILE, ENFILE). High-fan-out callers (amplified replay, per-shard
-// pools) hit these long before the server does; the typed error lets
-// them fail the run with a diagnosis instead of retrying into a hang.
+// (EMFILE, ENFILE). High-fan-out callers (amplified replay, the cluster
+// client's per-shard pools — both draw on a Pool) hit these long before
+// the server does; the typed error lets them fail the run with a
+// diagnosis instead of retrying into a hang.
 var ErrConnExhausted = errors.New("connection resources exhausted")
 
 // isResourceExhausted classifies a dial error as local resource
@@ -894,12 +896,6 @@ func (c *Client) fail(err error) error {
 		close(c.closeCh)
 		closeErr = c.conn.Close()
 	})
-	c.drainPending(err)
-	return closeErr
-}
-
-// drainPending removes every pending call and fails it with err.
-func (c *Client) drainPending(err error) {
 	c.mu.Lock()
 	stale := c.pending
 	c.pending = make(map[uint32]chan callReply)
@@ -907,6 +903,7 @@ func (c *Client) drainPending(err error) {
 	for _, ch := range stale {
 		ch <- callReply{err: err}
 	}
+	return closeErr
 }
 
 // failOne fails a single in-flight call with err, if still pending.
@@ -941,35 +938,23 @@ var replyChans = sync.Pool{
 	New: func() any { return make(chan callReply, 1) },
 }
 
-// register installs a pooled reply channel for xid, or reports the
-// terminal error if the transport is already dead.
-func (c *Client) register(xid uint32) (chan callReply, error) {
-	ch := replyChans.Get().(chan callReply)
+// register installs ch, which the caller owns and has drained, as
+// xid's reply channel. If the transport is already dead it recycles ch
+// and reports the terminal error. The retry layer re-registers the same
+// XID and channel after a send failure consumed the registration.
+func (c *Client) register(xid uint32, ch chan callReply) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.err != nil {
 		replyChans.Put(ch)
-		return nil, c.err
-	}
-	c.pending[xid] = ch
-	return ch, nil
-}
-
-// reregister re-installs a reply channel whose one send was already
-// consumed (a send-failure notification from failOne): the retry layer
-// keeps the same XID and channel across retransmissions. The caller
-// must own ch and have drained it.
-func (c *Client) reregister(xid uint32, ch chan callReply) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.err != nil {
 		return c.err
 	}
 	c.pending[xid] = ch
 	return nil
 }
 
-// unregister removes xid's reply channel (call abandoned: context done).
+// unregister removes xid's reply channel (call abandoned: deadline
+// passed or transport gone).
 // A reply arriving later is dropped by the demultiplexer. It reports
 // whether the channel was still registered — if so, no sender can ever
 // reach it and the caller may recycle it; if not, a send is (or was) in
@@ -1046,7 +1031,7 @@ func (c *Client) writer() {
 }
 
 // dropAbandoned removes from the batch, and recycles, calls whose
-// context gave up while they waited in sendCh — one mutex round-trip
+// deadline passed while they waited in sendCh — one mutex round-trip
 // per batch.
 func (c *Client) dropAbandoned() {
 	live := c.batch[:0]
@@ -1112,7 +1097,7 @@ func (c *Client) sendDatagram(buf []byte) error {
 // (ICMP port-unreachable surfacing as ECONNREFUSED) names no XID, so
 // it fails no one: punishing every in-flight call would drop replies
 // already queued in the socket buffer, and any call whose datagram
-// really was lost is bounded by its own context deadline.
+// really was lost is bounded by its own deadline.
 func (c *Client) reader() {
 	// One pooled arena buffer serves the reader's whole life: datagrams
 	// land in it directly, TCP records are appended into it (growing it
@@ -1244,39 +1229,13 @@ func releaseTimer(t *time.Timer) {
 	}
 }
 
-// Call performs one RPC and returns the reply body, waiting at most the
-// SetTimeout deadline (forever when the timeout is zero). Calls from
-// multiple goroutines are pipelined.
-func (c *Client) Call(proc uint32, args []byte) ([]byte, error) {
-	d := time.Duration(c.timeout.Load())
-	if d <= 0 {
-		return c.call(proc, args, nil, nil, nil)
-	}
-	t := acquireTimer(d)
-	defer releaseTimer(t)
-	return c.call(proc, args, nil, t.C, nil)
-}
-
-// CallContext performs one RPC and returns the reply body. The call is
-// abandoned (its late reply dropped) when ctx is done.
-func (c *Client) CallContext(ctx context.Context, proc uint32, args []byte) ([]byte, error) {
-	return c.call(proc, args, ctx.Done(), nil, ctx.Err)
-}
-
-// marshalCall assigns an XID and marshals record mark (TCP), RPC
-// header and arguments in one shot into a pooled buffer, recycled by
-// the writer after the send.
-func (c *Client) marshalCall(proc uint32, args []byte) (uint32, *[]byte) {
-	xid := c.xid.Add(1)
-	return xid, c.marshalCallXID(xid, proc, args)
-}
-
-// marshalCallXID marshals a call under a caller-chosen XID. The retry
-// layer re-marshals each retransmission under the original XID (the
-// writer recycles send buffers, so the bytes must be rebuilt) — same
-// XID on the wire is what lets the server's duplicate request cache
-// recognize the retry.
-func (c *Client) marshalCallXID(xid uint32, proc uint32, args []byte) *[]byte {
+// marshalCall marshals record mark (TCP), RPC header and arguments in
+// one shot into a pooled buffer, recycled by the writer after the send.
+// The retry layer re-marshals each retransmission under the original
+// XID (the bytes must be rebuilt because the writer recycles them) —
+// same XID on the wire is what lets the server's duplicate request
+// cache recognize the retry.
+func (c *Client) marshalCall(xid uint32, proc uint32, args []byte) *[]byte {
 	call := sunrpc.Call{
 		XID: xid, Prog: c.prog, Vers: c.vers, Proc: proc,
 		Cred: authUnixCred,
@@ -1296,63 +1255,6 @@ func (c *Client) marshalCallXID(xid uint32, proc uint32, args []byte) *[]byte {
 	return bp
 }
 
-// call is the shared body of Call and CallContext. The call is
-// abandoned when done is closed or expired fires (a nil channel never
-// selects); cause, when non-nil, names the abandon reason.
-func (c *Client) call(proc uint32, args []byte, done <-chan struct{}, expired <-chan time.Time, cause func() error) ([]byte, error) {
-	abandonErr := func() error {
-		if cause != nil {
-			return fmt.Errorf("rpcnet: %w", cause())
-		}
-		return fmt.Errorf("%w: %w", ErrReplyTimeout, context.DeadlineExceeded)
-	}
-	xid, bp := c.marshalCall(proc, args)
-	ch, err := c.register(xid)
-	if err != nil {
-		putBuf(bp)
-		return nil, err
-	}
-	// abandon tears down a call that will never complete; the reply
-	// channel is recycled only when it provably has no sender (see
-	// unregister).
-	abandon := func() {
-		if c.unregister(xid) {
-			replyChans.Put(ch)
-		}
-	}
-	select {
-	case c.sendCh <- wireMsg{xid: xid, buf: bp}:
-	case <-c.closeCh:
-		putBuf(bp)
-		abandon()
-		c.mu.Lock()
-		err := c.err
-		c.mu.Unlock()
-		return nil, err
-	case <-done:
-		putBuf(bp)
-		abandon()
-		return nil, abandonErr()
-	case <-expired:
-		putBuf(bp)
-		abandon()
-		return nil, abandonErr()
-	}
-	select {
-	case r := <-ch:
-		// The single possible send has been received, so the channel is
-		// empty and unreferenced: recycle it.
-		replyChans.Put(ch)
-		return r.body, r.err
-	case <-done:
-		abandon()
-		return nil, abandonErr()
-	case <-expired:
-		abandon()
-		return nil, abandonErr()
-	}
-}
-
 // Pending is an in-flight asynchronous call started by Go. Exactly one
 // Wait must be made on each Pending.
 type Pending struct {
@@ -1360,6 +1262,23 @@ type Pending struct {
 	xid uint32
 	ch  chan callReply
 	err error // immediate failure (transport already dead), or Wait consumed
+}
+
+// Call performs one RPC and returns the reply body. One SetTimeout
+// deadline (none when zero) bounds the whole call: queueing for the
+// writer and waiting for the reply. Call is Go + Wait on a stack-held
+// Pending, so it allocates nothing Go does not. Calls from multiple
+// goroutines are pipelined.
+func (c *Client) Call(proc uint32, args []byte) ([]byte, error) {
+	var p Pending
+	var expired <-chan time.Time
+	if d := time.Duration(c.timeout.Load()); d > 0 {
+		t := acquireTimer(d)
+		defer releaseTimer(t)
+		expired = t.C
+	}
+	c.issue(&p, proc, args, expired)
+	return p.wait(expired)
 }
 
 // Go starts an RPC and returns without waiting for the reply, which a
@@ -1370,25 +1289,49 @@ type Pending struct {
 // preserving the stream's send order. Go blocks only for transport
 // backpressure (the writer's queue).
 func (c *Client) Go(proc uint32, args []byte) *Pending {
-	xid, bp := c.marshalCall(proc, args)
-	ch, err := c.register(xid)
-	if err != nil {
-		putBuf(bp)
-		return &Pending{err: err}
+	p := new(Pending)
+	c.issue(p, proc, args, nil)
+	return p
+}
+
+// issue is the one path every call takes onto the wire: register,
+// marshal, enqueue (abandoned if expired fires first). A failure is
+// left in p for its Wait to report.
+func (c *Client) issue(p *Pending, proc uint32, args []byte, expired <-chan time.Time) {
+	xid := c.xid.Add(1)
+	ch := replyChans.Get().(chan callReply)
+	if p.err = c.register(xid, ch); p.err != nil {
+		return
 	}
+	if p.err = c.enqueue(xid, c.marshalCall(xid, proc, args), ch, expired); p.err == nil {
+		p.c, p.xid, p.ch = c, xid, ch
+	}
+}
+
+// enqueue hands a registered call to the writer. If the transport dies
+// or expired fires first, the call is torn down and the reason returned.
+func (c *Client) enqueue(xid uint32, bp *[]byte, ch chan callReply, expired <-chan time.Time) error {
+	var err error
 	select {
 	case c.sendCh <- wireMsg{xid: xid, buf: bp}:
-		return &Pending{c: c, xid: xid, ch: ch}
+		return nil
 	case <-c.closeCh:
-		putBuf(bp)
-		if c.unregister(xid) {
-			replyChans.Put(ch)
-		}
 		c.mu.Lock()
-		err := c.err
+		err = c.err
 		c.mu.Unlock()
-		return &Pending{err: err}
+	case <-expired:
+		err = errTimedOut()
 	}
+	putBuf(bp)
+	if c.unregister(xid) { // no sender can reach ch: recycle it
+		replyChans.Put(ch)
+	}
+	return err
+}
+
+// errTimedOut is the error of a call abandoned at its deadline.
+func errTimedOut() error {
+	return fmt.Errorf("%w: %w", ErrReplyTimeout, context.DeadlineExceeded)
 }
 
 // errWaited poisons a Pending whose single Wait already ran.
@@ -1398,29 +1341,35 @@ var errWaited = errors.New("rpcnet: reply already consumed")
 // otherwise). On timeout the call is abandoned and its late reply
 // dropped, exactly like an expired Call.
 func (p *Pending) Wait(d time.Duration) ([]byte, error) {
-	if p.ch == nil {
+	var expired <-chan time.Time
+	if p.ch != nil && d > 0 {
+		t := acquireTimer(d)
+		defer releaseTimer(t)
+		expired = t.C
+	}
+	return p.wait(expired)
+}
+
+// wait collects the reply, abandoning the call if expired fires first
+// (a nil expired waits forever).
+func (p *Pending) wait(expired <-chan time.Time) ([]byte, error) {
+	ch := p.ch
+	if ch == nil {
 		return nil, p.err
 	}
-	if d <= 0 {
-		r := <-p.ch
-		replyChans.Put(p.ch)
-		p.ch, p.err = nil, errWaited
-		return r.body, r.err
-	}
-	t := acquireTimer(d)
-	defer releaseTimer(t)
+	p.ch, p.err = nil, errWaited
 	select {
-	case r := <-p.ch:
-		replyChans.Put(p.ch)
-		p.ch, p.err = nil, errWaited
+	case r := <-ch:
+		// The single possible send has been received, so the channel is
+		// empty and unreferenced: recycle it.
+		replyChans.Put(ch)
 		return r.body, r.err
-	case <-t.C:
+	case <-expired:
 		// Recycle the channel only if no sender can reach it (see
 		// unregister); a racing reply leaves it to the collector.
 		if p.c.unregister(p.xid) {
-			replyChans.Put(p.ch)
+			replyChans.Put(ch)
 		}
-		p.ch, p.err = nil, errWaited
-		return nil, fmt.Errorf("%w: %w", ErrReplyTimeout, context.DeadlineExceeded)
+		return nil, errTimedOut()
 	}
 }

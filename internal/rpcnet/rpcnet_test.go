@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -213,41 +214,6 @@ func TestPipeliningOverlapsSlowCalls(t *testing.T) {
 	}
 }
 
-// TestCallContextCancel abandons a call via its context; the client
-// must return promptly and stay usable for later calls.
-func TestCallContextCancel(t *testing.T) {
-	block := make(chan struct{})
-	s, err := NewServerInfo("127.0.0.1:0", 1, 1, func(_ CallInfo, proc uint32, body []byte, reply []byte) ([]byte, uint32) {
-		if proc == 7 {
-			<-block
-		}
-		return append(reply, body...), sunrpc.AcceptSuccess
-	}, ServerOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		close(block)
-		s.Close()
-	}()
-	c, err := Dial("udp", s.Addr(), 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(50 * time.Millisecond)
-		cancel()
-	}()
-	if _, err := c.CallContext(ctx, 7, nil); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled call returned %v", err)
-	}
-	if _, err := c.Call(1, []byte("after")); err != nil {
-		t.Fatalf("client unusable after cancel: %v", err)
-	}
-}
-
 // TestUDPClientSurvivesServerRestart: a UDP transport error (server
 // gone, ICMP port-unreachable) fails the in-flight call but must not
 // poison the client — once a server is back on the same port, calls
@@ -304,11 +270,13 @@ func TestDialBadNetwork(t *testing.T) {
 }
 
 func TestCallTimeout(t *testing.T) {
-	// A server that never answers: handler blocks.
+	// A server that never answers proc 7: its handler blocks.
 	block := make(chan struct{})
-	s, err := NewServerInfo("127.0.0.1:0", 1, 1, func(_ CallInfo, _ uint32, _ []byte, reply []byte) ([]byte, uint32) {
-		<-block
-		return reply, sunrpc.AcceptSuccess
+	s, err := NewServerInfo("127.0.0.1:0", 1, 1, func(_ CallInfo, proc uint32, body []byte, reply []byte) ([]byte, uint32) {
+		if proc == 7 {
+			<-block
+		}
+		return append(reply, body...), sunrpc.AcceptSuccess
 	}, ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -324,11 +292,73 @@ func TestCallTimeout(t *testing.T) {
 	defer c.Close()
 	c.SetTimeout(100 * time.Millisecond)
 	start := time.Now()
-	if _, err := c.Call(1, nil); err == nil {
-		t.Fatal("blocked call returned")
+	if _, err := c.Call(7, nil); !errors.Is(err, ErrReplyTimeout) {
+		t.Fatalf("blocked call returned %v, want ErrReplyTimeout", err)
 	}
 	if time.Since(start) > 2*time.Second {
 		t.Fatal("timeout not honored")
+	}
+	// The abandoned call must not poison the client.
+	c.SetTimeout(5 * time.Second)
+	if _, err := c.Call(1, []byte("after")); err != nil {
+		t.Fatalf("client unusable after an abandoned call: %v", err)
+	}
+}
+
+// TestCallDeadlineCoversWriterQueue: one SetTimeout deadline bounds a
+// whole Call, including its wait for room in the writer's queue. The
+// peer accepts and never reads, and the client's fault injector stalls
+// every record on the writer goroutine — a stall, unlike a blocked
+// socket write, is not cut short by the write deadline, so the writer
+// stays stuck and more Calls than its queue holds wait for a slot.
+// Every one must come back with a timeout or a send error within a
+// small multiple of the timeout.
+func TestCallDeadlineCoversWriterQueue(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	accepted := make(chan net.Conn, 1)
+	go func() {
+		if conn, err := ln.Accept(); err == nil {
+			accepted <- conn // held open, never read
+		}
+	}()
+	const timeout = 100 * time.Millisecond
+	stall := NewFaultInjector(FaultConfig{StallProb: 1, Stall: 20 * timeout})
+	c, err := DialFault("tcp", ln.Addr().String(), 1, 1, stall)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	defer func() {
+		select {
+		case conn := <-accepted:
+			conn.Close()
+		default:
+		}
+	}()
+	c.SetTimeout(timeout)
+	args := make([]byte, 1<<10)
+	calls := 4 * maxBatch
+	errs := make(chan error, calls)
+	for i := 0; i < calls; i++ {
+		go func() {
+			_, err := c.Call(1, args)
+			errs <- err
+		}()
+	}
+	limit := time.After(10 * timeout)
+	for i := 0; i < calls; i++ {
+		select {
+		case err := <-errs:
+			if !errors.Is(err, ErrReplyTimeout) && !errors.Is(err, ErrSendFailed) {
+				t.Fatalf("call %d returned %v, want ErrReplyTimeout or ErrSendFailed", i, err)
+			}
+		case <-limit:
+			t.Fatalf("%d of %d calls still blocked after %v (timeout %v)", calls-i, calls, 10*timeout, timeout)
+		}
 	}
 }
 
